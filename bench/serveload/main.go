@@ -3,7 +3,7 @@
 // them on a loopback daemon, runs a fixed batch of remote queries per
 // scheme through the real wire protocol, and writes the daemon's
 // Prometheus-text /metrics scrape to stdout. bench/run.sh feeds that
-// scrape to `benchjson -metrics` so BENCH_8.json carries the serving-path
+// scrape to `benchjson -metrics` so BENCH_9.json carries the serving-path
 // latency histograms (p50/p99 per scheme) next to the kernel benchmarks.
 //
 // With -conns N, each scheme's query batch is fired from N concurrent

@@ -30,9 +30,8 @@
 //	curl http://localhost:6060/metrics
 //	go tool pprof http://localhost:6060/debug/pprof/profile?seconds=30
 //
-// -pprof ADDR is the historical alias: it serves the same admin mux on yet
-// another address. Bind either to localhost (or other non-public
-// interface): the endpoints expose internals and must not face clients.
+// Bind -admin to localhost (or another non-public interface): the
+// endpoints expose internals and must not face clients.
 // Every exported metric is a function of the adversary-visible access
 // pattern plus wall-clock timing — scraping the daemon reveals nothing
 // about query contents that Theorem 1 does not already concede.
@@ -85,7 +84,6 @@ func main() {
 	maxInflight := flag.Int("max-inflight", 0, "daemon-wide bound on queries open at once; a BeginQuery past the budget is shed with a typed BUSY reply before any query content is read (0 = 32x workers with a floor of 64, negative = unlimited)")
 	chaosSpec := flag.String("chaos", "", "DEV ONLY fault-injection spec, comma-separated key=value from latency=<dur>, tear=<n>, dialfail=<n>, eio=<n>, slowpage=<dur>, seed=<n> (e.g. latency=2ms,tear=6,dialfail=5,eio=97); empty = off")
 	adminAddr := flag.String("admin", "", "serve /metrics, /healthz and /debug/pprof/ on this address (e.g. localhost:6060; empty = disabled)")
-	pprofAddr := flag.String("pprof", "", "serve the admin endpoints on this additional address (historical alias of -admin)")
 	statsEvery := flag.Duration("stats", 0, "log serving stats at this interval (0 = off)")
 	shutdownWait := flag.Duration("drain", 10*time.Second, "graceful shutdown window (in-flight queries are cancelled immediately; sessions get this long to settle)")
 	flag.Parse()
@@ -188,23 +186,16 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// The admin endpoints ride their own listener(s), never the serving
+	// The admin endpoints ride their own listener, never the serving
 	// address: metrics and profiles are an operator tool, not a client
-	// surface. The mux is shared, so -admin and -pprof expose identical
-	// endpoints wherever they are bound.
-	var adminWait []func()
-	adminMux := newAdminMux(srv.Telemetry(), srv.Ready)
-	for _, a := range []struct{ addr, label string }{
-		{*adminAddr, "admin"}, {*pprofAddr, "pprof"},
-	} {
-		if a.addr == "" {
-			continue
-		}
-		wait, err := startAdmin(ctx, a.addr, a.label, adminMux)
+	// surface.
+	adminWait := func() {}
+	if *adminAddr != "" {
+		wait, err := startAdmin(ctx, *adminAddr, newAdminMux(srv.Telemetry(), srv.Ready))
 		if err != nil {
-			log.Fatalf("privspd: %s listen %s: %v", a.label, a.addr, err)
+			log.Fatalf("privspd: admin listen %s: %v", *adminAddr, err)
 		}
-		adminWait = append(adminWait, wait)
+		adminWait = wait
 	}
 
 	// The stats ticker gets its own cancellation, sequenced AFTER server
@@ -252,9 +243,7 @@ func main() {
 		if *statsEvery <= 0 {
 			printStats(srv)
 		}
-		for _, wait := range adminWait {
-			wait()
-		}
+		adminWait()
 	}
 }
 

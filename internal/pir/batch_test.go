@@ -199,6 +199,11 @@ func TestXORPIRBatchSelectorsUniformAndIndependent(t *testing.T) {
 	}
 }
 
+// selected reports whether page p is set in the selector bit vector.
+func selected(sel []byte, p int) bool {
+	return sel[p>>3]&(1<<(p&7)) != 0
+}
+
 // fakeRand adapts math/rand to the store's randomness source so the
 // zero-allocation property can be measured without crypto/rand noise.
 // (crypto/rand itself reads straight into the caller's buffer; this swap
@@ -210,22 +215,34 @@ func (f fakeRand) Read(p []byte) (int, error) { return f.rng.Read(p) }
 // TestXORPIRReadBatchIntoZeroAllocs pins the allocation-free steady state
 // of the single-scan batch path: with the scratch pool warm and
 // caller-provided destination buffers, a batched oblivious read allocates
-// nothing.
+// nothing — bucket table included, on a file where the k=8 batch folds in
+// groups of 4 and on one where it folds as a single 8-selector group.
 func TestXORPIRReadBatchIntoZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
 	}
-	const n, ps, k = 128, 512, 8
-	pages := makePages(n, ps, 23)
-	x, err := NewXORPIR(src(pages, ps))
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct{ n, ps, g int }{{128, 512, 4}, {1024, 64, maxGroup}} {
+		batch := []int{0, 7, 7, 31, 64, c.n - 1, 90, 13}
+		if g := groupWidth(len(batch), c.n); g != c.g {
+			t.Fatalf("%dx%d: groupWidth(%d, %d) = %d, want %d", c.n, c.ps, len(batch), c.n, g, c.g)
+		}
+		pages := makePages(c.n, c.ps, 23)
+		x, err := NewXORPIR(src(pages, c.ps))
+		if err != nil {
+			t.Fatal(err)
+		}
+		x.rng = fakeRand{rng: rand.New(rand.NewSource(5))}
+		checkZeroAllocBatch(t, x, pages, batch)
 	}
-	x.rng = fakeRand{rng: rand.New(rand.NewSource(5))}
-	batch := []int{0, 7, 7, 31, 64, 127, 90, 13}[:k]
-	dst := make([][]byte, k)
+}
+
+// checkZeroAllocBatch fails t unless steady-state ReadBatchInto of batch
+// against x allocates nothing and still decodes the exact pages.
+func checkZeroAllocBatch(t *testing.T, x *XORPIR, pages [][]byte, batch []int) {
+	t.Helper()
+	dst := make([][]byte, len(batch))
 	for i := range dst {
-		dst[i] = make([]byte, ps)
+		dst[i] = make([]byte, x.PageSize())
 	}
 	ctx := context.Background()
 	read := func() {
@@ -233,9 +250,10 @@ func TestXORPIRReadBatchIntoZeroAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	read() // warm the scratch pool and the recorded-query buffers
+	read() // warm: scratch pool, bucket tables, recorded-query buffers, workers
 	if allocs := testing.AllocsPerRun(100, read); allocs != 0 {
-		t.Fatalf("steady-state ReadBatchInto allocates %.1f objects per batch; want 0", allocs)
+		t.Fatalf("%d pages, %d workers: steady-state ReadBatchInto allocates %.1f objects per batch; want 0",
+			x.NumPages(), x.ScanWorkers(), allocs)
 	}
 	for i, p := range batch {
 		if !bytes.Equal(dst[i], pages[p]) {

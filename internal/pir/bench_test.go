@@ -31,13 +31,14 @@ func BenchmarkXORAnswer(b *testing.B) {
 		b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "pages/s")
 	})
 	b.Run("words", func(b *testing.B) {
-		acc := make([]uint64, arena.wpp)
+		sels, accs := [][]byte{sel}, [][]uint64{make([]uint64, arena.wpp)}
+		var bt bucketTable
 		b.SetBytes(n * ps)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			clearWords(acc)
-			arena.answerOne(sel, acc)
+			clearWords(accs[0])
+			arena.answerAll(sels, accs, &bt)
 		}
 		b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "pages/s")
 	})
@@ -57,7 +58,6 @@ func BenchmarkXORPIRBatchRead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ctx := context.Background()
 	for _, k := range []int{1, 4, 16, 64} {
 		batch := make([]int, k)
 		for i := range batch {
@@ -75,25 +75,41 @@ func BenchmarkXORPIRBatchRead(b *testing.B) {
 			b.ReportMetric(float64(k)*float64(b.N)/b.Elapsed().Seconds(), "pages/s")
 		})
 		b.Run(fmt.Sprintf("single-scan/k=%d", k), func(b *testing.B) {
-			dst := make([][]byte, k)
-			for i := range dst {
-				dst[i] = make([]byte, ps)
-			}
-			// Warm the scratch pool so allocs/op reflects steady state even
-			// at one iteration.
-			if err := x.ReadBatchInto(ctx, batch, dst); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := x.ReadBatchInto(ctx, batch, dst); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(k)*float64(b.N)/b.Elapsed().Seconds(), "pages/s")
+			benchSingleScan(b, x, batch, ps)
 		})
 	}
+	// PI's Fi file: about 11.3k pages of 4 KiB, fetched as one k=8 batch
+	// per query — the shape the scan-bound end-to-end workload serves.
+	const fiPages, fiPS = 11321, 4096
+	fi, err := NewXORPIR(src(makePages(fiPages, fiPS, 10), fiPS))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("single-scan/fi/k=8", func(b *testing.B) {
+		benchSingleScan(b, fi, []int{0, 1400, 2800, 4200, 5600, 7000, 8400, 11320}, fiPS)
+	})
+}
+
+// benchSingleScan times steady-state ReadBatchInto of batch against x.
+func benchSingleScan(b *testing.B, x *XORPIR, batch []int, ps int) {
+	ctx := context.Background()
+	dst := make([][]byte, len(batch))
+	for i := range dst {
+		dst[i] = make([]byte, ps)
+	}
+	// Warm the scratch pool so allocs/op reflects steady state even at one
+	// iteration.
+	if err := x.ReadBatchInto(ctx, batch, dst); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := x.ReadBatchInto(ctx, batch, dst); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(batch))*float64(b.N)/b.Elapsed().Seconds(), "pages/s")
 }
 
 // BenchmarkScanParallel sweeps the segmented parallel kernel across worker
@@ -112,7 +128,8 @@ func BenchmarkScanParallel(b *testing.B) {
 		b.Fatal(err)
 	}
 	g := newScanGroup(8, arena.numPages)
-	pool := newArenaTaskPool()
+	pool := &freeList[arenaTask]{}
+	var bt bucketTable
 	rng := rand.New(rand.NewSource(12))
 	for _, k := range []int{1, 8} {
 		sels := make([][]byte, k)
@@ -132,9 +149,9 @@ func BenchmarkScanParallel(b *testing.B) {
 						clearWords(acc)
 					}
 					if w == 1 {
-						arena.answerAll(sels, accs)
+						arena.answerAll(sels, accs, &bt)
 					} else {
-						g.answerAllParallel(pool, arena, sels, accs, w)
+						g.answerAllParallel(pool, arena, sels, accs, &bt, w)
 					}
 				}
 				b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "pages/s")

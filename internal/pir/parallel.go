@@ -272,34 +272,66 @@ func (g *scanGroup) worker() {
 }
 
 // arenaTask is a parallel answerAll over a word arena: segment seg folds
-// pages [seg*chunk, (seg+1)*chunk) into its own accumulator block. Segment
-// 0 writes the caller's accumulators directly; segments 1..nw-1 write
-// pooled partials that the submitter combines afterwards.
+// pages [seg*chunk, (seg+1)*chunk) into its own accumulator block through
+// its own bucket table. Segment 0 works in the caller's accumulators and
+// bucket table directly; segments 1..nw-1 write pooled partials through
+// pooled tables, and the submitter combines the partials afterwards.
 type arenaTask struct {
 	seg   segTask
-	pool  *sync.Pool
+	pool  *freeList[arenaTask]
 	arena *wordArena
 	sels  [][]byte
 	accs  [][]uint64
+	bt    *bucketTable
 	k     int
 	nw    int
 	chunk int
 
 	partbuf []uint64
 	parts   [][]uint64
+	buckets []bucketTable // segments 1..nw-1
 }
 
-// newArenaTaskPool builds the per-store task pool; the run/release method
-// values are bound once per task, so steady-state scans allocate nothing.
-func newArenaTaskPool() *sync.Pool {
-	pool := &sync.Pool{}
-	pool.New = func() any {
-		t := &arenaTask{pool: pool}
-		t.seg.run = t.runSegment
-		t.seg.release = t.releaseTask
-		return t
+// freeList is a per-store stack of reusable scan working sets. Unlike a
+// sync.Pool it keeps no per-P copies and is not emptied by garbage
+// collection, so a store holds as many as its peak number of concurrent
+// scans and no more: each carries bucket tables of up to a megabyte (see
+// kernel.go), and the extra copies a sync.Pool keeps showed up as resident
+// memory.
+type freeList[T any] struct {
+	mu    sync.Mutex
+	items []*T
+}
+
+// get pops a free value, or returns nil when none is free.
+func (f *freeList[T]) get() *T {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n := len(f.items)
+	if n == 0 {
+		return nil
 	}
-	return pool
+	v := f.items[n-1]
+	f.items[n-1] = nil
+	f.items = f.items[:n-1]
+	return v
+}
+
+// put returns v for reuse.
+func (f *freeList[T]) put(v *T) {
+	f.mu.Lock()
+	f.items = append(f.items, v)
+	f.mu.Unlock()
+}
+
+// newArenaTask builds a task that returns to pool when released. The
+// run/release method values are bound once per task, so steady-state scans
+// allocate nothing.
+func newArenaTask(pool *freeList[arenaTask]) *arenaTask {
+	t := &arenaTask{pool: pool}
+	t.seg.run = t.runSegment
+	t.seg.release = t.releaseTask
+	return t
 }
 
 // runSegment folds one contiguous page range into the segment's
@@ -310,14 +342,14 @@ func (t *arenaTask) runSegment(seg int) {
 	if end > t.arena.numPages {
 		end = t.arena.numPages
 	}
-	accs := t.accs
+	accs, bt := t.accs, t.bt
 	if seg > 0 {
-		accs = t.parts[(seg-1)*t.k : seg*t.k]
+		accs, bt = t.parts[(seg-1)*t.k:seg*t.k], &t.buckets[seg-1]
 		for _, row := range accs {
 			clearWords(row)
 		}
 	}
-	t.arena.answerAllRange(t.sels, accs, start, end)
+	t.arena.answerAllRange(t.sels, accs, start, end, bt)
 }
 
 // releaseTask drops the slice references (the selectors and accumulators
@@ -325,18 +357,22 @@ func (t *arenaTask) runSegment(seg int) {
 // reference holder runs this, after every segment claim has failed, so no
 // goroutine can still be reading the fields.
 func (t *arenaTask) releaseTask() {
-	t.arena, t.sels, t.accs = nil, nil, nil
+	t.arena, t.sels, t.accs, t.bt = nil, nil, nil, nil
 	t.parts = t.parts[:0]
-	t.pool.Put(t)
+	t.pool.put(t)
 }
 
 // answerAllParallel answers k selectors with nw workers in one segmented
 // pass over the arena, leaving the combined answers in accs (caller-zeroed,
-// like answerAll). Byte-identical to answerAll.
-func (g *scanGroup) answerAllParallel(pool *sync.Pool, a *wordArena, sels [][]byte, accs [][]uint64, nw int) {
-	t := pool.Get().(*arenaTask)
+// like answerAll; bt is the caller's bucket table, which segment 0 uses).
+// Byte-identical to answerAll.
+func (g *scanGroup) answerAllParallel(pool *freeList[arenaTask], a *wordArena, sels [][]byte, accs [][]uint64, bt *bucketTable, nw int) {
+	t := pool.get()
+	if t == nil {
+		t = newArenaTask(pool)
+	}
 	k := len(sels)
-	t.arena, t.sels, t.accs = a, sels, accs
+	t.arena, t.sels, t.accs, t.bt = a, sels, accs, bt
 	t.k, t.nw = k, nw
 	t.chunk = (a.numPages + nw - 1) / nw
 	if need := (nw - 1) * k * a.wpp; cap(t.partbuf) < need {
@@ -346,6 +382,9 @@ func (g *scanGroup) answerAllParallel(pool *sync.Pool, a *wordArena, sels [][]by
 	t.parts = t.parts[:0]
 	for off := 0; off < len(t.partbuf); off += a.wpp {
 		t.parts = append(t.parts, t.partbuf[off:off+a.wpp])
+	}
+	for len(t.buckets) < nw-1 {
+		t.buckets = append(t.buckets, bucketTable{})
 	}
 	t.seg.nseg = int32(nw)
 	g.exec(&t.seg)

@@ -3,6 +3,7 @@ package pir
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -15,50 +16,36 @@ import (
 var workerFanOuts = []int{1, 2, 3, 4, 8}
 
 // TestAnswerAllParallelMatchesSerial pins the kernel-level contract: the
-// segmented parallel fold must produce byte-identical accumulators to the
-// serial single-scan kernel, across the odd geometries (tail words, 1-page
-// files) and for k=1 as well as wide batches.
+// segmented parallel fold, every segment through its own bucket table, must
+// produce the byte kernel's answers across the odd geometries (tail words,
+// 1-page files), the wide shape whose segments fold 8-selector groups, and
+// every batch size the kernel oracles sweep.
 func TestAnswerAllParallelMatchesSerial(t *testing.T) {
-	for _, shape := range oddShapes {
+	for _, shape := range kernelShapes {
 		pages := makePages(shape.n, shape.ps, int64(13*shape.n+shape.ps))
 		arena, err := newWordArena(src(pages, shape.ps))
 		if err != nil {
 			t.Fatal(err)
 		}
 		group := newScanGroup(1, shape.n)
-		pool := newArenaTaskPool()
+		pool := &freeList[arenaTask]{}
 		rng := rand.New(rand.NewSource(int64(shape.n)))
-		nbytes := (shape.n + 7) / 8
-		for _, k := range []int{1, 3, 8} {
-			sels := make([][]byte, k)
-			want := make([][]uint64, k)
-			got := make([][]uint64, k)
-			for j := range sels {
-				sels[j] = make([]byte, nbytes)
-				rng.Read(sels[j])
-				sels[j][nbytes-1] &= byte(1<<((shape.n-1)%8+1)) - 1
-				want[j] = make([]uint64, arena.wpp)
-				got[j] = make([]uint64, arena.wpp)
-			}
-			arena.answerAll(sels, want)
+		var bt bucketTable
+		for _, k := range kernelKs {
+			sels := randomSelectors(rng, k, shape.n)
+			got := newAccs(k, arena.wpp)
 			for _, nw := range workerFanOuts {
 				eff := group.SetScanWorkers(nw)
 				for j := range got {
 					clearWords(got[j])
 				}
 				if eff > 1 {
-					group.answerAllParallel(pool, arena, sels, got, eff)
+					group.answerAllParallel(pool, arena, sels, got, &bt, eff)
 				} else {
-					arena.answerAll(sels, got)
+					arena.answerAll(sels, got, &bt)
 				}
-				for j := range got {
-					for w := range got[j] {
-						if got[j][w] != want[j][w] {
-							t.Fatalf("%dx%d k=%d nw=%d(eff %d): acc %d word %d differs",
-								shape.n, shape.ps, k, nw, eff, j, w)
-						}
-					}
-				}
+				what := fmt.Sprintf("%dx%d k=%d nw=%d(eff %d)", shape.n, shape.ps, k, nw, eff)
+				checkAccs(t, what, pages, shape.ps, sels, got, 0, shape.n)
 			}
 		}
 	}
@@ -153,38 +140,28 @@ func TestKOPIRParallelHonorsContext(t *testing.T) {
 // parallel steady state allocates nothing, anywhere in the runtime (the pin
 // counts mallocs globally, so worker-goroutine allocations would fail it
 // too). Requires the submitter-last reclaim in scanGroup.exec: the pooled
-// task must come home on the submitting goroutine.
+// task must come home on the submitting goroutine. The second file is long
+// enough that every segment folds the k=8 batch as one 8-selector group
+// through its own bucket table.
 func TestXORPIRParallelZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
 	}
-	const n, ps, k = 256, 512, 8
-	pages := makePages(n, ps, 47)
-	x, err := NewXORPIR(src(pages, ps))
-	if err != nil {
-		t.Fatal(err)
-	}
-	x.rng = fakeRand{rng: rand.New(rand.NewSource(9))}
-	x.SetScanWorkers(4)
-	batch := []int{0, 9, 9, 55, 128, 255, 77, 31}[:k]
-	dst := make([][]byte, k)
-	for i := range dst {
-		dst[i] = make([]byte, ps)
-	}
-	ctx := context.Background()
-	read := func() {
-		if err := x.ReadBatchInto(ctx, batch, dst); err != nil {
+	const workers = 4
+	for _, c := range []struct{ n, ps, g int }{{256, 512, 4}, {4096, 64, maxGroup}} {
+		batch := []int{0, 9, 9, 55, 128, c.n - 1, 77, 31}
+		if g := groupWidth(len(batch), c.n/workers); g != c.g {
+			t.Fatalf("%dx%d: segment groupWidth(%d, %d) = %d, want %d",
+				c.n, c.ps, len(batch), c.n/workers, g, c.g)
+		}
+		pages := makePages(c.n, c.ps, 47)
+		x, err := NewXORPIR(src(pages, c.ps))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	read() // warm: scratch pool, task pool, worker goroutines, partials
-	if allocs := testing.AllocsPerRun(100, read); allocs != 0 {
-		t.Fatalf("steady-state parallel ReadBatchInto allocates %.1f objects per batch; want 0", allocs)
-	}
-	for i, p := range batch {
-		if !bytes.Equal(dst[i], pages[p]) {
-			t.Fatalf("answer %d (page %d) wrong after alloc-free parallel reads", i, p)
-		}
+		x.rng = fakeRand{rng: rand.New(rand.NewSource(9))}
+		x.SetScanWorkers(workers)
+		checkZeroAllocBatch(t, x, pages, batch)
 	}
 }
 

@@ -29,12 +29,12 @@ type XORPIR struct {
 	numPages int
 	pageSize int
 	rng      io.Reader
-	scratch  sync.Pool // *xorScratch, sized for this store
+	scratch  freeList[xorScratch] // sized for this store
 
 	// Parallel scan machinery (see parallel.go): a persistent worker group
 	// fans each replica scan across page segments when ScanWorkers() > 1.
 	*scanGroup
-	taskPool *sync.Pool // *arenaTask
+	taskPool freeList[arenaTask]
 
 	// lastMu guards the recorded-query buffers: reads are otherwise
 	// stateless and run concurrently under a batch fan-out. The buffers
@@ -61,13 +61,16 @@ type xorServer struct {
 }
 
 // xorScratch is the per-batch working set: selector vectors and word
-// accumulators for both servers, backed by two flat allocations so a
-// steady-state batch reuses everything.
+// accumulators for both servers, backed by two flat allocations, and the
+// bucket table of the serial kernel (or of a parallel scan's first
+// segment); the two replica passes run one after the other, so they share
+// it. A steady-state batch reuses everything.
 type xorScratch struct {
 	selbuf       []byte
 	selsA, selsB [][]byte
 	accbuf       []uint64
 	accsA, accsB [][]uint64
+	buckets      bucketTable
 }
 
 // NewXORPIR replicates the pages of src onto two logical servers (the
@@ -85,7 +88,6 @@ func NewXORPIR(src pagefile.Reader) (*XORPIR, error) {
 		pageSize:  arena.pageSize,
 		rng:       rand.Reader,
 		scanGroup: newScanGroup(defaultArenaWorkers(len(arena.words)), arena.numPages),
-		taskPool:  newArenaTaskPool(),
 	}
 	bindCleanup(x, x.scanGroup)
 	return x, nil
@@ -96,7 +98,7 @@ func (x *XORPIR) selBytes() int { return (x.numPages + 7) / 8 }
 
 // getScratch rents a scratch sized for a k-query batch.
 func (x *XORPIR) getScratch(k int) *xorScratch {
-	sc, _ := x.scratch.Get().(*xorScratch)
+	sc := x.scratch.get()
 	if sc == nil {
 		sc = &xorScratch{}
 	}
@@ -176,7 +178,7 @@ func (x *XORPIR) ReadBatchInto(ctx context.Context, pages []int, dst [][]byte) e
 	}
 	k, nbytes := len(pages), x.selBytes()
 	sc := x.getScratch(k)
-	defer x.scratch.Put(sc)
+	defer x.scratch.put(sc)
 
 	// One draw covers every query's server-A vector: disjoint stretches of
 	// a uniform stream are mutually independent, so per-query independence
@@ -204,19 +206,11 @@ func (x *XORPIR) ReadBatchInto(ctx context.Context, pages []int, dst [][]byte) e
 	// byte-identical to the serial kernel (XOR is associative).
 	clearWords(sc.accbuf)
 	nw := x.ScanWorkers()
-	if nw > 1 {
-		x.answerAllParallel(x.taskPool, x.a.arena, sc.selsA, sc.accsA, nw)
-	} else {
-		x.a.arena.answerAll(sc.selsA, sc.accsA)
-	}
+	x.scan(x.a.arena, sc.selsA, sc.accsA, &sc.buckets, nw)
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if nw > 1 {
-		x.answerAllParallel(x.taskPool, x.b.arena, sc.selsB, sc.accsB, nw)
-	} else {
-		x.b.arena.answerAll(sc.selsB, sc.accsB)
-	}
+	x.scan(x.b.arena, sc.selsB, sc.accsB, &sc.buckets, nw)
 	// Two full-file passes (one per replica) answered the whole batch,
 	// whatever its size — the quantity the amortization ratio tracks.
 	x.recordScan(2*uint64(x.numPages), 2)
@@ -226,6 +220,16 @@ func (x *XORPIR) ReadBatchInto(ctx context.Context, pages []int, dst [][]byte) e
 		unpackWords(dst[j][:x.pageSize], acc)
 	}
 	return nil
+}
+
+// scan is one full pass over arena answering sels into the caller-zeroed
+// accs: the serial kernel, or a segmented fan-out when nw > 1.
+func (x *XORPIR) scan(arena *wordArena, sels [][]byte, accs [][]uint64, bt *bucketTable, nw int) {
+	if nw > 1 {
+		x.answerAllParallel(&x.taskPool, arena, sels, accs, bt, nw)
+	} else {
+		arena.answerAll(sels, accs, bt)
+	}
 }
 
 func clearWords(w []uint64) {
@@ -306,14 +310,10 @@ func (x *XORPIR) AnswerShares(ctx context.Context, sels [][]byte, dst [][]byte) 
 	}
 	k := len(sels)
 	sc := x.getScratch(k)
-	defer x.scratch.Put(sc)
+	defer x.scratch.put(sc)
 	accs := sc.accsA
 	clearWords(sc.accbuf[:k*x.a.arena.wpp])
-	if nw := x.ScanWorkers(); nw > 1 {
-		x.answerAllParallel(x.taskPool, x.a.arena, sels, accs, nw)
-	} else {
-		x.a.arena.answerAll(sels, accs)
-	}
+	x.scan(x.a.arena, sels, accs, &sc.buckets, x.ScanWorkers())
 	// One full-file pass, whatever the batch size.
 	x.recordScan(uint64(x.numPages), 1)
 	x.logShares(sels)

@@ -7,8 +7,8 @@
 //
 // The paper derives the page quota by running all V² queries offline; that
 // is quadratic, so by default the quota comes from a large sampled workload
-// plus extremal pairs (DESIGN.md substitution 5). Small networks can use
-// DeriveAllPairs for the exact paper procedure.
+// plus extremal pairs (README "Departures from the paper"). Small networks
+// can use DeriveAllPairs for the exact paper procedure.
 package lm
 
 import (

@@ -87,7 +87,8 @@ const (
 )
 
 // Generate synthesizes a preset network at the given scale in (0, 1]; see
-// DESIGN.md on how the synthetic networks match the paper's datasets.
+// README "Departures from the paper" on how the synthetic networks match
+// the paper's datasets.
 func Generate(p Preset, scale float64, seed int64) *Network {
 	spec := gen.PresetSpec(p, scale)
 	spec.Seed = seed
