@@ -18,11 +18,14 @@
 // backs a privspd -admin endpoint (Prometheus-text /metrics, /healthz,
 // pprof) whose exported series are functions of the adversary-visible
 // trace plus timing only — never of query contents (README
-// "Observability"). Serving capacity is scan throughput by construction —
-// every PIR answer streams the whole file — so the XOR stores carry a
-// segmented parallel kernel that fans each scan across a worker group
-// (server.Options.ScanWorkers / privspd -scan-workers / lbs.WithScanWorkers;
-// byte-identical to serial, charged against the same worker pool). The
+// "Observability"). Every PIR store implements one contract, pir.Store,
+// whose only read is ReadBatchInto and whose pir.Caps tell the serving
+// layer how to route it. Serving capacity is scan throughput by
+// construction — every PIR answer streams the whole file — so the XOR PIR
+// store carries a segmented parallel kernel that fans each scan across a
+// worker group (its pir.ShareServer face; server.Options.ScanWorkers /
+// privspd -scan-workers / lbs.WithScanWorkers; byte-identical to serial,
+// charged against the same worker pool). The
 // benchmarks in bench_test.go regenerate every table and figure (see also
 // cmd/experiments).
 package repro

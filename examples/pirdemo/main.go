@@ -68,16 +68,18 @@ func main() {
 	fmt.Printf("   each server saw a uniformly random subset of %d pages\n", demoPageCount)
 	fmt.Println("   (run with -fleet to split the two servers into two real processes)")
 
-	// Batched reads take the query's context: the serving layer checks it
-	// between page retrievals, so a cancelled query stops a long batch at a
-	// read boundary instead of finishing work nobody wants.
+	// Every store reads in batches that take the query's context: it is
+	// checked at read boundaries, so a cancelled query stops a long batch
+	// instead of finishing work nobody wants. XOR PIR answers the whole
+	// batch with one scan per server.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	batch, err := x.ReadBatch(ctx, []int{2, 5, 11})
+	batch := [][]byte{make([]byte, demoPageSize), make([]byte, demoPageSize), make([]byte, demoPageSize)}
+	err = x.ReadBatchInto(ctx, []int{2, 5, 11}, batch)
 	cancel()
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("   batched ReadBatch(ctx, [2 5 11]) returned %d pages, first %q\n", len(batch), trim(batch[0]))
+	fmt.Printf("   one-scan ReadBatchInto(ctx, [2 5 11]) filled %d pages, first %q\n", len(batch), trim(batch[0]))
 
 	fmt.Println("\n-- Kushilevitz–Ostrovsky PIR (quadratic residuosity, math/big) --")
 	small := make([][]byte, 4)
@@ -95,13 +97,13 @@ func main() {
 
 // demo reads two pages through the Store interface and times it.
 func demo(name string, s pir.Store) {
+	page := [][]byte{make([]byte, s.PageSize())}
 	for _, idx := range []int{1, s.NumPages() - 1} {
 		start := time.Now()
-		page, err := s.Read(idx)
-		if err != nil {
+		if err := s.ReadBatchInto(context.Background(), []int{idx}, page); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("   %s.Read(%d) = %q in %v\n", name, idx, trim(page), time.Since(start))
+		fmt.Printf("   %s.ReadBatchInto([%d]) = %q in %v\n", name, idx, trim(page[0]), time.Since(start))
 	}
 }
 

@@ -8,7 +8,8 @@ import (
 // process talks to however many daemons it likes, but its own view —
 // connects, round trips, open queries — is one program-wide story. Nothing
 // here depends on query contents; round-trip timing is the client's own
-// wall clock over the adversary-visible frame exchange.
+// wall clock over the adversary-visible frame exchange. The series are for
+// export only: no accessor reads them back as any one Client's state.
 var (
 	mConnects = telemetry.Default().Counter("privsp_client_connects_total",
 		"daemon connections dialed and handshaken")

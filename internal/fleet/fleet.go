@@ -520,15 +520,16 @@ type Status struct {
 	MirrorQueries   uint64
 }
 
-// Status reports the fleet's health and accounting.
+// Status reports the fleet's health and accounting. The query counts are
+// this fleet's own, whichever registry its telemetry exports to.
 func (f *Fleet) Status() Status {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	st := Status{
 		Mode:            f.mode,
-		PairedQueries:   f.m.queriesPaired.Value(),
-		DegradedQueries: f.m.degraded.Value(),
-		MirrorQueries:   f.m.queriesMirror.Value(),
+		PairedQueries:   f.m.queriesPaired.n.Load(),
+		DegradedQueries: f.m.degraded.n.Load(),
+		MirrorQueries:   f.m.queriesMirror.n.Load(),
 	}
 	for _, rep := range f.replicas {
 		st.Replicas = append(st.Replicas, ReplicaStatus{

@@ -55,7 +55,7 @@ func (f *Fleet) StartQuery() *Query {
 			q.err = f.downError()
 			return q
 		}
-		f.m.queriesMirror.Inc()
+		f.m.queriesMirror.inc()
 		q.mode = qMirror
 		q.subs = []*sub{{rep: picked[0], q: picked[0].c.StartQuery()}}
 		return q
@@ -70,12 +70,12 @@ func (f *Fleet) StartQuery() *Query {
 				picked[0].addr, f.downError())
 			return q
 		}
-		f.m.degraded.Inc()
+		f.m.degraded.inc()
 		f.opts.Logf("fleet: DEGRADED query: both shares to %s — single-server XOR PIR, privacy rests on trusting that one server", picked[0].addr)
 		q.mode = qDegraded
 		q.subs = []*sub{{rep: picked[0], q: picked[0].c.StartQuery()}}
 	default:
-		f.m.queriesPaired.Inc()
+		f.m.queriesPaired.inc()
 		q.mode = qPaired
 		q.subs = []*sub{
 			{rep: picked[0], q: picked[0].c.StartQuery()},

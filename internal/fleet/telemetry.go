@@ -1,6 +1,10 @@
 package fleet
 
-import "repro/internal/telemetry"
+import (
+	"sync/atomic"
+
+	"repro/internal/telemetry"
+)
 
 // fleetMetrics are the fan-out client's families — the "fleet"-scoped
 // lines of docs/metrics.catalog, enforced by TestFleetMetricsCatalog the
@@ -14,11 +18,26 @@ type fleetMetrics struct {
 	replicaUp     map[string]*telemetry.Gauge   // by replica address
 	replicaErrors map[string]*telemetry.Counter // by replica address
 	fanout        *telemetry.Histogram
-	queriesPaired *telemetry.Counter
-	queriesMirror *telemetry.Counter
-	degraded      *telemetry.Counter
+	queriesPaired tally
+	queriesMirror tally
+	degraded      tally
 	probeOK       *telemetry.Counter
 	probeFail     *telemetry.Counter
+}
+
+// tally is one query count Status reports: the fleet's own atomic plus the
+// registry series it is exported through. Registry series are get-or-create
+// per name and labels, so every fleet dialed against one registry (by
+// default the process-global one) shares them: they are for export only,
+// never read back as this fleet's count.
+type tally struct {
+	n   atomic.Uint64
+	reg *telemetry.Counter
+}
+
+func (t *tally) inc() {
+	t.n.Add(1)
+	t.reg.Inc()
 }
 
 func (f *Fleet) initTelemetry(addrs []string) {
@@ -35,11 +54,11 @@ func (f *Fleet) initTelemetry(addrs []string) {
 	f.m.fanout = reg.Histogram("privsp_fleet_fanout_seconds",
 		"wall time of one paired share fan-out: slower replica's scan plus transfer",
 		telemetry.Seconds())
-	f.m.queriesPaired = reg.Counter("privsp_fleet_queries_total",
+	f.m.queriesPaired.reg = reg.Counter("privsp_fleet_queries_total",
 		"queries started, by fan-out mode", telemetry.L("mode", "paired"))
-	f.m.queriesMirror = reg.Counter("privsp_fleet_queries_total",
+	f.m.queriesMirror.reg = reg.Counter("privsp_fleet_queries_total",
 		"queries started, by fan-out mode", telemetry.L("mode", "mirror"))
-	f.m.degraded = reg.Counter("privsp_fleet_degraded_queries_total",
+	f.m.degraded.reg = reg.Counter("privsp_fleet_degraded_queries_total",
 		"queries demoted to single-server XOR PIR (both shares on the lone survivor — information-theoretic privacy degraded to a trust assumption)")
 	f.m.probeOK = reg.Counter("privsp_fleet_probes_total",
 		"health-prober attempts by result", telemetry.L("result", "ok"))

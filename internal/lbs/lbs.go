@@ -184,8 +184,8 @@ func ShardedORAMStores(shards int, seed int64) StoreFactory {
 // Server hosts one database behind a PIR interface. Batched page reads fan
 // out across a bounded worker pool private to this server, so concurrent
 // serving of distinct databases never contends on shared locks. Stores that
-// answer a whole batch in one scan (pir.SingleScan) are never split: the
-// pool parallelizes across files and callers, not within their batches.
+// answer a whole batch in one scan (pir.Caps.SingleScan) are never split:
+// the pool parallelizes across files and callers, not within their batches.
 type Server struct {
 	db     *Database
 	model  costmodel.Params
@@ -228,28 +228,26 @@ type Server struct {
 	scanRoutePar, scanRouteSer           *telemetry.Counter
 }
 
-// hostedStore is one file's PIR store plus the serving capabilities probed
-// once at host time, so the per-read path does no interface assertions.
+// hostedStore is one file's PIR store plus its routing, resolved once at
+// host time from the store's pir.Caps, so the per-read path does no
+// interface assertions.
 type hostedStore struct {
-	store  pir.Store
-	batch  pir.BatchStore    // nil when the store cannot batch
-	into   pir.BatchInto     // nil when the store cannot fill caller buffers
-	shares pir.ShareAnswerer // nil when the store cannot answer XOR selector shares
-	// whole marks single-scan stores (pir.SingleScan): their batches are
-	// answered by one ReadBatch call on one pool slot — splitting would
-	// multiply full-file scans.
-	whole bool
+	store pir.Store
+	// shares is the store's two-server XOR PIR face, nil when it has none.
+	// It is the value the store factory returned, so a decorating store's
+	// overrides stay on the path.
+	shares pir.ShareServer
 	// serial is the per-store lock (a 1-slot channel, so waiting for it is
-	// cancellable) for stores that are NOT BatchStores: one stateful ORAM
-	// structure admits exactly one read at a time.
+	// cancellable) for stores whose reads are not Concurrent: one stateful
+	// ORAM structure admits exactly one read at a time.
 	serial chan struct{}
 	// sched coalesces fetches from all connections into shared scans; set
-	// only for single-scan stores (see scheduler.go).
+	// only for concurrent single-scan stores (see scheduler.go), whose
+	// batches must never be split.
 	sched *scanScheduler
-	// scanWorkers is the resolved per-scan worker width for parallel-
-	// capable stores (pir.ParallelScan), clamped to the pool size at host
-	// time; a scan of this store occupies this many pool slots. 1 for
-	// serial stores.
+	// scanWorkers is the resolved per-scan worker width of a ShareServer,
+	// clamped to the pool size at host time; a scan of this store occupies
+	// this many pool slots. 1 for every other store.
 	scanWorkers int
 }
 
@@ -267,10 +265,11 @@ func WithWorkers(n int) ServerOption {
 	}
 }
 
-// WithScanWorkers sets the per-scan worker width for parallel-capable
-// stores (pir.ParallelScan): each scan of such a store fans its file pass
-// across n workers and occupies n pool slots, so one merged batch uses the
-// whole allowance instead of oversubscribing cores across concurrent scans.
+// WithScanWorkers sets the per-scan worker width for stores with a
+// parallel scan (pir.ShareServer): each scan of such a store fans its file
+// pass across n workers and occupies n pool slots, so one merged batch uses
+// the whole allowance instead of oversubscribing cores across concurrent
+// scans.
 // The width is clamped to the pool size (WithWorkers) at host time; n == 1
 // forces the serial kernel; n <= 0 keeps each store's size-aware default.
 func WithScanWorkers(n int) ServerOption {
@@ -314,32 +313,23 @@ func NewServer(db *Database, model costmodel.Params, factory StoreFactory, opts 
 			return nil, fmt.Errorf("lbs: building PIR store for %s: %w", f.Name(), err)
 		}
 		hs := &hostedStore{store: st, scanWorkers: 1}
-		hs.batch, _ = st.(pir.BatchStore)
-		hs.into, _ = st.(pir.BatchInto)
-		hs.shares, _ = st.(pir.ShareAnswerer)
-		if ss, ok := st.(pir.SingleScan); ok {
-			hs.whole = ss.SingleScanBatch()
-		}
-		if ps, ok := st.(pir.ParallelScan); ok {
+		hs.shares, _ = st.(pir.ShareServer)
+		if hs.shares != nil {
 			// Resolve the scan-worker width against the pool: a parallel
 			// scan occupies one slot per worker, so the per-database pool
 			// stays the single knob bounding parallel work. With no
 			// explicit option the store's size-aware default applies —
 			// which on the historical 1-worker default pool resolves to
 			// the serial kernel, exactly the old behaviour.
-			target := s.scanWorkersOpt
-			if target <= 0 {
-				target = ps.ScanWorkers()
+			hs.scanWorkers = hs.shares.SetScanWorkers(s.scanWorkersOpt)
+			if hs.scanWorkers > s.workers {
+				hs.scanWorkers = hs.shares.SetScanWorkers(s.workers)
 			}
-			if target > s.workers {
-				target = s.workers
-			}
-			hs.scanWorkers = ps.SetScanWorkers(target)
 		}
-		if hs.batch == nil {
+		switch caps := st.Caps(); {
+		case !caps.Concurrent:
 			hs.serial = make(chan struct{}, 1)
-		}
-		if hs.whole && hs.batch != nil {
+		case caps.SingleScan:
 			hs.sched = newScanScheduler(s, hs, f.Name())
 		}
 		s.stores[f.Name()] = hs
@@ -379,113 +369,40 @@ func (s *Server) Files() []FileInfo {
 // the round in the trace.
 func (s *Server) NextRound(context.Context) error { return nil }
 
-// ReadPages retrieves pages through the PIR stores. Safe for concurrent use
-// by any number of connections: batches against a pir.BatchStore fan out
-// across the server's bounded worker pool — except single-scan stores
-// (pir.SingleScan), whose whole batch rides ONE pool slot and one scan,
-// because splitting a single-scan batch multiplies full-file scans instead
-// of dividing work. Stores without batch support (the single-structure
-// ORAMs) serialize on a per-store mutex. Cancelling ctx aborts the batch at
-// read boundaries — a read waiting for a pool slot or for the per-store
-// serial lock gives up immediately and the worker is freed — but a page
-// read that started always completes, so the caller records fetches
-// all-or-nothing.
+// ReadPages retrieves pages through the PIR stores into one freshly
+// allocated backing buffer; see ReadPagesInto for routing and
+// cancellation. Safe for concurrent use by any number of connections.
 func (s *Server) ReadPages(ctx context.Context, file string, pages []int) ([][]byte, error) {
 	hs, ok := s.stores[file]
 	if !ok {
 		return nil, fmt.Errorf("lbs: no such file %q", file)
 	}
-	if hs.batch == nil {
-		s.routeSerial.Inc()
-		lock := hs.serial
-		select {
-		case lock <- struct{}{}:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		defer func() { <-lock }()
-		out := make([][]byte, len(pages))
-		for i, p := range pages {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			data, err := hs.store.Read(p)
-			if err != nil {
-				return nil, fmt.Errorf("lbs: PIR fetch %s[%d]: %w", file, p, err)
-			}
-			out[i] = data
-		}
-		return out, nil
-	}
-
-	if hs.sched != nil {
-		// Single-scan store: the scan scheduler merges this batch with
-		// fetches from every other connection and answers them all in one
-		// pass (it acquires the pool slot itself).
-		s.routeWhole.Inc()
-		ps := hs.store.PageSize()
-		buf := make([]byte, len(pages)*ps)
-		out := make([][]byte, len(pages))
-		for i := range out {
-			out[i] = buf[i*ps : (i+1)*ps : (i+1)*ps]
-		}
-		if err := hs.sched.readInto(ctx, pages, out); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-
-	workers := s.workers
-	if workers > len(pages) {
-		workers = len(pages)
-	}
-	if workers <= 1 || hs.whole {
-		s.routeWhole.Inc()
-		if err := s.acquire(ctx); err != nil {
-			return nil, err
-		}
-		defer s.release()
-		out, err := hs.batch.ReadBatch(ctx, pages)
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			return nil, fmt.Errorf("lbs: PIR fetch %s: %w", file, err)
-		}
-		if len(out) != len(pages) {
-			return nil, fmt.Errorf("lbs: PIR fetch %s: store returned %d pages, want %d", file, len(out), len(pages))
-		}
-		return out, nil
-	}
-
-	// Fan the batch out as contiguous sub-batches, one pool slot each; the
-	// split never spawns more goroutines than workers, so a hostile
-	// maximum-size batch cannot balloon goroutine memory.
-	s.routeFanOut.Inc()
+	ps := hs.store.PageSize()
+	buf := make([]byte, len(pages)*ps)
 	out := make([][]byte, len(pages))
-	err := s.fanOut(ctx, file, len(pages), workers, func(ctx context.Context, start, end int) error {
-		chunk, err := hs.batch.ReadBatch(ctx, pages[start:end])
-		if err == nil && len(chunk) != end-start {
-			err = fmt.Errorf("store returned %d pages, want %d", len(chunk), end-start)
-		}
-		if err != nil {
-			return err
-		}
-		copy(out[start:end], chunk)
-		return nil
-	})
-	if err != nil {
+	for i := range out {
+		out[i] = buf[i*ps : (i+1)*ps : (i+1)*ps]
+	}
+	if err := s.ReadPagesInto(ctx, file, pages, out); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// ReadPagesInto is ReadPages writing page contents into caller-provided
-// buffers (each dst[i] at least PageSize bytes): the serving daemon rents
-// the buffers from a pool, so its steady-state page path allocates nothing.
-// Routing matches ReadPages exactly — single-scan batches keep one pool
-// slot, splittable ones fan out, serial stores take the per-store lock —
-// and stores without a native pir.BatchInto are bridged with a copy.
+// ReadPagesInto retrieves pages through the PIR stores, writing page
+// contents into caller-provided buffers (each dst[i] at least PageSize
+// bytes): the serving daemon rents the buffers from a pool, so its
+// steady-state page path allocates nothing. Safe for concurrent use by any
+// number of connections. Batches against a Concurrent store fan out across
+// the server's bounded worker pool — except single-scan stores, whose
+// batches go through the scan scheduler and ride one scan, because
+// splitting a single-scan batch multiplies full-file scans instead of
+// dividing work. Stores whose reads are not Concurrent (the single-structure
+// ORAMs) serialize on a per-store lock. Cancelling ctx aborts the batch at
+// read boundaries — a read waiting for a pool slot or for the per-store
+// serial lock gives up immediately and the worker is freed — but a page
+// read that started always completes, so the caller records fetches
+// all-or-nothing.
 func (s *Server) ReadPagesInto(ctx context.Context, file string, pages []int, dst [][]byte) error {
 	hs, ok := s.stores[file]
 	if !ok {
@@ -494,29 +411,21 @@ func (s *Server) ReadPagesInto(ctx context.Context, file string, pages []int, ds
 	if len(dst) != len(pages) {
 		return fmt.Errorf("lbs: PIR fetch %s: %d buffers for %d pages", file, len(dst), len(pages))
 	}
-	if hs.batch == nil {
+	if hs.serial != nil {
 		s.routeSerial.Inc()
-		lock := hs.serial
 		select {
-		case lock <- struct{}{}:
+		case hs.serial <- struct{}{}:
 		case <-ctx.Done():
 			return ctx.Err()
 		}
-		defer func() { <-lock }()
-		for i, p := range pages {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			data, err := hs.store.Read(p)
-			if err != nil {
-				return fmt.Errorf("lbs: PIR fetch %s[%d]: %w", file, p, err)
-			}
-			copy(dst[i][:hs.store.PageSize()], data)
-		}
-		return nil
+		defer func() { <-hs.serial }()
+		return readErr(ctx, file, hs.store.ReadBatchInto(ctx, pages, dst))
 	}
 
 	if hs.sched != nil {
+		// Single-scan store: the scan scheduler merges this batch with
+		// fetches from every other connection and answers them all in one
+		// pass (it acquires the pool slots itself).
 		s.routeWhole.Inc()
 		return hs.sched.readInto(ctx, pages, dst)
 	}
@@ -525,28 +434,36 @@ func (s *Server) ReadPagesInto(ctx context.Context, file string, pages []int, ds
 	if workers > len(pages) {
 		workers = len(pages)
 	}
-	if workers <= 1 || hs.whole {
+	if workers <= 1 {
 		s.routeWhole.Inc()
 		if err := s.acquire(ctx); err != nil {
 			return err
 		}
 		defer s.release()
-		if err := hs.readInto(ctx, pages, dst); err != nil {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			return fmt.Errorf("lbs: PIR fetch %s: %w", file, err)
-		}
+		return readErr(ctx, file, hs.store.ReadBatchInto(ctx, pages, dst))
+	}
+	// Fan the batch out as contiguous sub-batches, one pool slot each; the
+	// split never spawns more goroutines than workers, so a hostile
+	// maximum-size batch cannot balloon goroutine memory.
+	s.routeFanOut.Inc()
+	return s.fanOut(ctx, file, hs.store, pages, dst, workers)
+}
+
+// readErr reports a store error: the context's error when ctx is done (a
+// cancelled batch reports cancellation rather than a store's wrapped
+// error), the store error wrapped with the file otherwise.
+func readErr(ctx context.Context, file string, err error) error {
+	if err == nil {
 		return nil
 	}
-	s.routeFanOut.Inc()
-	return s.fanOut(ctx, file, len(pages), workers, func(ctx context.Context, start, end int) error {
-		return hs.readInto(ctx, pages[start:end], dst[start:end])
-	})
+	if ctx.Err() != nil {
+		return ctx.Err()
+	}
+	return fmt.Errorf("lbs: PIR fetch %s: %w", file, err)
 }
 
 // ShareCapable reports whether every hosted file can answer XOR PIR
-// selector shares (pir.ShareAnswerer) — the capability a fleet replica
+// selector shares (pir.ShareServer) — the capability a fleet replica
 // daemon advertises in its Welcome. All files or nothing: a fleet query
 // may touch any file, so partial capability is no capability.
 func (s *Server) ShareCapable() bool {
@@ -599,35 +516,17 @@ func (s *Server) AnswerShares(ctx context.Context, file string, sels [][]byte, d
 	return nil
 }
 
-// readInto fills dst through the store's native BatchInto when it has one,
-// bridging with ReadBatch plus a copy otherwise.
-func (hs *hostedStore) readInto(ctx context.Context, pages []int, dst [][]byte) error {
-	if hs.into != nil {
-		return hs.into.ReadBatchInto(ctx, pages, dst)
-	}
-	chunk, err := hs.batch.ReadBatch(ctx, pages)
-	if err != nil {
-		return err
-	}
-	if len(chunk) != len(pages) {
-		return fmt.Errorf("store returned %d pages, want %d", len(chunk), len(pages))
-	}
-	ps := hs.store.PageSize()
-	for i := range chunk {
-		copy(dst[i][:ps], chunk[i])
-	}
-	return nil
-}
-
-// fanOut splits [0,n) into up to `workers` contiguous chunks, runs each on
-// its own pool slot, and returns the first error (context errors win, so a
-// cancelled batch reports cancellation rather than a store's wrapped error).
-func (s *Server) fanOut(ctx context.Context, file string, n, workers int, run func(ctx context.Context, start, end int) error) error {
+// fanOut splits the batch into up to `workers` contiguous sub-batches,
+// reads each on its own pool slot, and returns the first error (context
+// errors win, so a cancelled batch reports cancellation rather than a
+// store's wrapped error).
+func (s *Server) fanOut(ctx context.Context, file string, st pir.Store, pages []int, dst [][]byte, workers int) error {
 	var (
 		wg       sync.WaitGroup
 		errMu    sync.Mutex
 		firstErr error
 	)
+	n := len(pages)
 	per := (n + workers - 1) / workers
 	for start := 0; start < n; start += per {
 		end := start + per
@@ -640,16 +539,12 @@ func (s *Server) fanOut(ctx context.Context, file string, n, workers int, run fu
 			err := s.acquire(ctx)
 			if err == nil {
 				defer s.release()
-				err = run(ctx, start, end)
+				err = st.ReadBatchInto(ctx, pages[start:end], dst[start:end])
 			}
 			if err != nil {
 				errMu.Lock()
 				if firstErr == nil {
-					if ctx.Err() != nil {
-						firstErr = ctx.Err()
-					} else {
-						firstErr = fmt.Errorf("lbs: PIR fetch %s: %w", file, err)
-					}
+					firstErr = readErr(ctx, file, err)
 				}
 				errMu.Unlock()
 			}

@@ -179,7 +179,7 @@ func TestFetchErrors(t *testing.T) {
 }
 
 // TestParallelReadPages drives the worker-pool fan-out: batches over a
-// BatchStore split across workers and reassemble in order, for every worker
+// Concurrent store split across workers and reassemble in order, for every worker
 // count and store flavour, under concurrent connections.
 func TestParallelReadPages(t *testing.T) {
 	const pagesN = 40
@@ -305,20 +305,17 @@ func TestPyramidStoresServeCorrectly(t *testing.T) {
 // blockingStore parks every read until released, so tests can fill the
 // worker pool deterministically.
 type blockingStore struct {
-	inner   *pir.Plain
+	*pir.Plain
 	release chan struct{}
 }
 
-func (b *blockingStore) Read(page int) ([]byte, error) { return b.inner.Read(page) }
-func (b *blockingStore) NumPages() int                 { return b.inner.NumPages() }
-func (b *blockingStore) PageSize() int                 { return b.inner.PageSize() }
-func (b *blockingStore) ReadBatch(ctx context.Context, pages []int) ([][]byte, error) {
+func (b *blockingStore) ReadBatchInto(ctx context.Context, pages []int, dst [][]byte) error {
 	select {
 	case <-b.release:
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
-	return b.inner.ReadBatch(ctx, pages)
+	return b.Plain.ReadBatchInto(ctx, pages, dst)
 }
 
 // TestReadPagesCancelledWhileQueued: with the single pool slot held by a
@@ -329,7 +326,7 @@ func TestReadPagesCancelledWhileQueued(t *testing.T) {
 	db := sampleDB(t)
 	release := make(chan struct{})
 	srv, err := NewServer(db, costmodel.Default(), func(f pagefile.Reader) (pir.Store, error) {
-		return &blockingStore{inner: pir.NewPlain(f), release: release}, nil
+		return &blockingStore{Plain: pir.NewPlain(f), release: release}, nil
 	}, WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
@@ -381,16 +378,19 @@ func TestReadPagesCancelledWhileQueued(t *testing.T) {
 	}
 }
 
-// parkedStore is a non-batch Store whose reads park until released — the
-// serial (per-store lock) serving path under a long-running holder.
+// parkedStore is a non-concurrent Store whose reads park until released —
+// the serial (per-store lock) serving path under a long-running holder.
 type parkedStore struct {
-	inner   pir.Store
+	pir.Store
 	release chan struct{}
 }
 
-func (p *parkedStore) Read(page int) ([]byte, error) { <-p.release; return p.inner.Read(page) }
-func (p *parkedStore) NumPages() int                 { return p.inner.NumPages() }
-func (p *parkedStore) PageSize() int                 { return p.inner.PageSize() }
+func (p *parkedStore) ReadBatchInto(ctx context.Context, pages []int, dst [][]byte) error {
+	<-p.release
+	return p.Store.ReadBatchInto(ctx, pages, dst)
+}
+
+func (p *parkedStore) Caps() pir.Caps { return pir.Caps{} }
 
 // TestSerialLockCancellable: a read waiting for a non-batch store's serial
 // lock aborts with ctx.Err() when cancelled, instead of blocking until the
@@ -399,7 +399,7 @@ func TestSerialLockCancellable(t *testing.T) {
 	db := sampleDB(t)
 	release := make(chan struct{})
 	srv, err := NewServer(db, costmodel.Default(), func(f pagefile.Reader) (pir.Store, error) {
-		return &parkedStore{inner: pir.NewPlain(f), release: release}, nil
+		return &parkedStore{Store: pir.NewPlain(f), release: release}, nil
 	})
 	if err != nil {
 		t.Fatal(err)

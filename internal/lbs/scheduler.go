@@ -11,11 +11,11 @@ import (
 
 // The SPC schemes make every PIR answer scan the whole file, so the server's
 // real budget is scans per second, not fetches per second. The single-scan
-// kernel (pir.SingleScan) already answers a whole batch in one pass — but
+// kernel (pir.Caps.SingleScan) already answers a whole batch in one pass — but
 // batches used to form only inside one client's round. The scan scheduler
 // closes that gap across connections: selector-vector fetches arriving from
 // ANY connection are accumulated into one shared pending batch per file and
-// answered with a single ReadBatch pass over the arena, turning cost per
+// answered with a single ReadBatchInto pass over the arena, turning cost per
 // query into cost per scan under concurrent traffic.
 //
 // Flush policy, in order of precedence:
@@ -333,13 +333,7 @@ func (sc *scanScheduler) scan(ctx context.Context, pages []int, dst [][]byte, qu
 	sc.srv.schedFetches.Add(uint64(queries))
 	sc.srv.schedScans.Add(1)
 	sc.srv.schedOccupancy.Observe(int64(queries))
-	if err := sc.hs.readInto(ctx, pages, dst); err != nil {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		return fmt.Errorf("lbs: PIR fetch %s: %w", sc.file, err)
-	}
-	return nil
+	return readErr(ctx, sc.file, sc.hs.store.ReadBatchInto(ctx, pages, dst))
 }
 
 // finishScan marks one scan done. Requests that queued while it ran are

@@ -3,7 +3,6 @@ package lbs
 import (
 	"time"
 
-	"repro/internal/pir"
 	"repro/internal/telemetry"
 )
 
@@ -112,18 +111,15 @@ func (s *Server) initTelemetry() {
 		reg.GaugeFunc("privsp_scan_workers",
 			"scan-worker width per store pass (1 = serial kernel), resolved against the pool at host time",
 			func() float64 { return float64(width) }, dbl, fl)
-		if ps, ok := hs.store.(pir.ParallelScan); ok {
-			ps.SetScanObserver(func(d time.Duration) { s.scanSegment.Observe(int64(d)) })
+		if hs.shares != nil {
+			hs.shares.SetScanObserver(func(d time.Duration) { s.scanSegment.Observe(int64(d)) })
 		}
-		ss, ok := hs.store.(pir.ScanStats)
-		if !ok {
-			continue
-		}
+		st := hs.store
 		reg.CounterFunc("privsp_pir_pages_scanned_total",
 			"pages-equivalent server work performed by the PIR store (scan amortization numerator)",
-			func() uint64 { p, _ := ss.ScanStats(); return p }, dbl, fl)
+			func() uint64 { p, _ := st.ScanStats(); return p }, dbl, fl)
 		reg.CounterFunc("privsp_pir_scans_total",
 			"server passes performed by the PIR store",
-			func() uint64 { _, n := ss.ScanStats(); return n }, dbl, fl)
+			func() uint64 { _, n := st.ScanStats(); return n }, dbl, fl)
 	}
 }

@@ -5,9 +5,6 @@ import (
 	"crypto/rand"
 	"fmt"
 	"math/big"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/pagefile"
 )
@@ -33,13 +30,6 @@ type KOPIR struct {
 	n    *big.Int // public modulus
 	p, q *big.Int // client-held factorization
 	bits int      // modulus size
-
-	// Parallel scan machinery (see parallel.go). KOPIR is compute-bound
-	// (modular products per bit), so its unit of segmentation is the
-	// destination byte column: each worker owns a contiguous range of bit
-	// rounds covering whole output bytes, rounds being mutually independent
-	// server exchanges.
-	*scanGroup
 
 	scanCounters
 }
@@ -81,42 +71,8 @@ func NewKOPIR(src pagefile.Reader, modulusBits int) (*KOPIR, error) {
 		n:        new(big.Int).Mul(p, q),
 		p:        p, q: q,
 		bits: modulusBits,
-		// Modular products dominate every bit round, so unlike the
-		// memory-bound arena stores there is no size floor: any page with
-		// at least one byte column per worker parallelizes profitably.
-		scanGroup: newScanGroup(runtime.GOMAXPROCS(0), pageSize),
 	}
-	bindCleanup(k, k.scanGroup)
 	return k, nil
-}
-
-// Read implements Store: it retrieves the target page bit by bit. Each bit
-// query hides which page (row) and which bit position (column) is wanted.
-func (k *KOPIR) Read(page int) ([]byte, error) {
-	if page < 0 || page >= k.numPages {
-		return nil, fmt.Errorf("pir: page %d of %d", page, k.numPages)
-	}
-	out := make([]byte, k.pageSize)
-	for bit := 0; bit < k.pageSize*8; bit++ {
-		v, err := k.readBit(page, bit)
-		if err != nil {
-			return nil, err
-		}
-		if v {
-			out[bit/8] |= 1 << (bit % 8)
-		}
-	}
-	return out, nil
-}
-
-// readBit runs one QR-PIR round: rows = pages, columns = bit positions.
-func (k *KOPIR) readBit(row, col int) (bool, error) {
-	ys, err := k.sampleQuery(col)
-	if err != nil {
-		return false, err
-	}
-	z := k.serverAnswerRow(row, ys)
-	return !k.isQR(z), nil
 }
 
 // sampleQuery builds one bit-round query vector: t Jacobi-+1 elements with
@@ -132,28 +88,6 @@ func (k *KOPIR) sampleQuery(col int) ([]*big.Int, error) {
 		ys[c] = y
 	}
 	return ys, nil
-}
-
-// serverAnswerRow is the server-side computation for one row. The real
-// protocol returns all rows (communication O(s·k)); since rows are
-// independent and the query vector is fixed, computing only the row the
-// test inspects is equivalent server work per row and keeps the demo fast.
-// Server knowledge is unchanged: it processes the same query vector.
-func (k *KOPIR) serverAnswerRow(row int, ys []*big.Int) *big.Int {
-	z := big.NewInt(1)
-	pageData := k.pages[row]
-	for c, y := range ys {
-		if c/8 < len(pageData) && pageData[c/8]&(1<<(c%8)) != 0 {
-			z.Mul(z, y)
-			z.Mod(z, k.n)
-		}
-	}
-	// Randomize with w².
-	w, _ := rand.Int(rand.Reader, k.n)
-	w.Add(w, big.NewInt(2))
-	z.Mul(z, new(big.Int).Exp(w, big.NewInt(2), k.n))
-	z.Mod(z, k.n)
-	return z
 }
 
 // sampleJacobiOne samples an element of Z_n^* with Jacobi symbol +1 that is
@@ -192,6 +126,10 @@ func (k *KOPIR) isQR(y *big.Int) bool {
 // matching query element into each query's accumulator — the k-accumulator
 // single-scan structure of the batched protocol, applied at row
 // granularity. Each accumulator is finally randomized with its own w².
+// The real protocol returns all rows (communication O(s·k)); rows are
+// independent and the query vectors fixed, so computing only the rows the
+// client inspects is equivalent server work per row and keeps tests fast.
+// Server knowledge is unchanged: it processes the same query vectors.
 func (k *KOPIR) serverAnswerRowBatch(row int, yss [][]*big.Int) []*big.Int {
 	zs := make([]*big.Int, len(yss))
 	for q := range zs {
@@ -217,26 +155,14 @@ func (k *KOPIR) serverAnswerRowBatch(row int, yss [][]*big.Int) []*big.Int {
 	return zs
 }
 
-// ReadBatch implements BatchStore natively: the batch proceeds in
-// bit-synchronized rounds (all queries fetch bit b together), and within a
-// round the page matrix is walked once — queries targeting the same row
-// share a single pass over that row's bits, each folding the shared data
-// into its own accumulator. Every query still samples its own fresh
-// Jacobi-+1 vector per round, so the server's view of a batch is exactly k
-// independent queries. ctx is checked at bit-round boundaries (the read
-// boundaries of this store: one round is one indivisible server exchange).
-func (k *KOPIR) ReadBatch(ctx context.Context, pages []int) ([][]byte, error) {
-	out := make([][]byte, len(pages))
-	for i := range out {
-		out[i] = make([]byte, k.pageSize)
-	}
-	if err := k.ReadBatchInto(ctx, pages, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ReadBatchInto implements BatchInto; see ReadBatch.
+// ReadBatchInto implements Store: the batch proceeds in bit-synchronized
+// rounds (all queries fetch bit b together), and within a round the page
+// matrix is walked once — queries targeting the same row share a single
+// pass over that row's bits, each folding the shared data into its own
+// accumulator. Every query still samples its own fresh Jacobi-+1 vector per
+// round, so the server's view of a batch is exactly k independent queries.
+// ctx is checked at bit-round boundaries (the read boundaries of this
+// store: one round is one indivisible server exchange).
 func (k *KOPIR) ReadBatchInto(ctx context.Context, pages []int, dst [][]byte) error {
 	if len(dst) != len(pages) {
 		return fmt.Errorf("pir: %d buffers for %d pages", len(dst), len(pages))
@@ -263,11 +189,7 @@ func (k *KOPIR) ReadBatchInto(ctx context.Context, pages []int, dst [][]byte) er
 		}
 		rowQueries[p] = append(rowQueries[p], i)
 	}
-	if nw := k.ScanWorkers(); nw > 1 {
-		if err := k.answerBitsParallel(ctx, dst, rowOrder, rowQueries, nw); err != nil {
-			return err
-		}
-	} else if err := k.answerBitRange(ctx, dst, rowOrder, rowQueries, 0, k.pageSize*8, nil); err != nil {
+	if err := k.answerBits(ctx, dst, rowOrder, rowQueries); err != nil {
 		return err
 	}
 	// One database-equivalent pass per batch: in the real protocol the
@@ -277,20 +199,13 @@ func (k *KOPIR) ReadBatchInto(ctx context.Context, pages []int, dst [][]byte) er
 	return nil
 }
 
-// answerBitRange runs the bit rounds [startBit, endBit) of a batch — the
-// unit of work one scan-worker segment owns. Rounds are independent server
-// exchanges (each samples its own fresh query vectors), so any partition of
-// the rounds yields the same decoded bits. ctx is checked at round
-// boundaries, and a non-nil bail flag (set by a sibling segment that hit an
-// error) stops the range early.
-func (k *KOPIR) answerBitRange(ctx context.Context, dst [][]byte, rowOrder []int, rowQueries map[int][]int, startBit, endBit int, bail *atomic.Bool) error {
+// answerBits runs every bit round of a batch, checking ctx at round
+// boundaries.
+func (k *KOPIR) answerBits(ctx context.Context, dst [][]byte, rowOrder []int, rowQueries map[int][]int) error {
 	yss := make([][]*big.Int, 0, 4)
-	for bit := startBit; bit < endBit; bit++ {
+	for bit := 0; bit < k.pageSize*8; bit++ {
 		if err := ctx.Err(); err != nil {
 			return err
-		}
-		if bail != nil && bail.Load() {
-			return nil
 		}
 		for _, row := range rowOrder {
 			idxs := rowQueries[row]
@@ -313,66 +228,10 @@ func (k *KOPIR) answerBitRange(ctx context.Context, dst [][]byte, rowOrder []int
 	return nil
 }
 
-// kopirTask fans a batch's bit rounds across the worker group. Segments
-// split the page's byte columns, so no two workers ever OR into the same
-// destination byte.
-type kopirTask struct {
-	seg        segTask
-	k          *KOPIR
-	ctx        context.Context
-	dst        [][]byte
-	rowOrder   []int
-	rowQueries map[int][]int
-	chunk      int // byte columns per segment
-
-	bail atomic.Bool
-	mu   sync.Mutex
-	err  error
-}
-
-func (t *kopirTask) runSegment(seg int) {
-	startB := seg * t.chunk
-	endB := startB + t.chunk
-	if endB > t.k.pageSize {
-		endB = t.k.pageSize
-	}
-	err := t.k.answerBitRange(t.ctx, t.dst, t.rowOrder, t.rowQueries, startB*8, endB*8, &t.bail)
-	if err != nil {
-		t.bail.Store(true)
-		t.mu.Lock()
-		if t.err == nil {
-			t.err = err
-		}
-		t.mu.Unlock()
-	}
-}
-
-// answerBitsParallel answers all bit rounds with nw workers, byte columns
-// partitioned contiguously. KOPIR tasks are not pooled: per-round query
-// sampling allocates big.Ints by the thousand, so a task header per batch
-// is noise (the arena stores, where allocation is the budget, pool theirs).
-func (k *KOPIR) answerBitsParallel(ctx context.Context, dst [][]byte, rowOrder []int, rowQueries map[int][]int, nw int) error {
-	t := &kopirTask{
-		k:          k,
-		ctx:        ctx,
-		dst:        dst,
-		rowOrder:   rowOrder,
-		rowQueries: rowQueries,
-		chunk:      (k.pageSize + nw - 1) / nw,
-	}
-	t.seg.run = t.runSegment
-	t.seg.nseg = int32(nw)
-	k.scanGroup.exec(&t.seg)
-	t.seg.deref()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return t.err
-}
-
-// SingleScanBatch implements SingleScan: each bit round walks the matrix
-// rows once for the whole batch, so splitting a batch multiplies row scans.
-func (k *KOPIR) SingleScanBatch() bool { return true }
+// Caps implements Store: reads touch no mutable state, and each bit round
+// walks the matrix rows once for the whole batch, so splitting a batch
+// multiplies row scans.
+func (k *KOPIR) Caps() Caps { return Caps{Concurrent: true, SingleScan: true} }
 
 // NumPages implements Store.
 func (k *KOPIR) NumPages() int { return k.numPages }

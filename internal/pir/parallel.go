@@ -11,8 +11,8 @@ import (
 // word-wide kernel of kernel.go already runs one scan at memory speed on one
 // core; on a multi-core server that leaves most of the machine's memory
 // bandwidth idle while a scan is the unit of serving capacity. The scan is a
-// data-independent fold (XOR over a contiguous arena, or per-row modular
-// products for KOPIR), so it partitions cleanly:
+// data-independent XOR fold over a contiguous arena, so it partitions
+// cleanly:
 //
 //   - The arena is split into contiguous page-aligned segments, one per
 //     worker. Segment boundaries fall on page-row boundaries — at least a
@@ -46,31 +46,9 @@ const minSegWords = 1 << 16
 // capacity only bounds how many concurrent scans can park helper requests.
 const segJobQueue = 32
 
-// ParallelScan is the optional configuration face of a store whose
-// full-file scan can fan out across a worker group. The serving layer
-// (lbs.Server) resolves the deployment's scan-worker setting against its
-// pool size and applies it here at host time; n is a target, and the
-// returned effective count is what one scan will actually use (capped so
-// every worker has at least one unit of work). Configuration is not
-// synchronized with in-flight reads: call before serving, as lbs does.
-type ParallelScan interface {
-	// SetScanWorkers sets the worker-group width. n <= 0 restores the
-	// GOMAXPROCS-and-size-aware default; n == 1 forces the serial kernel;
-	// n > 1 is capped only by the store's segmentable units. Returns the
-	// effective width.
-	SetScanWorkers(n int) int
-	// ScanWorkers returns the effective worker-group width (1 = serial).
-	ScanWorkers() int
-	// SetScanObserver installs fn to receive the wall-clock duration of
-	// every segment folded by a parallel scan (nil removes it). The
-	// observation count per scan equals ScanWorkers() — a function of
-	// configuration, never of page contents.
-	SetScanObserver(fn func(segment time.Duration))
-}
-
-// scanGroup is the persistent worker group embedded in parallel-capable
-// stores. It resolves the configured width against the store's geometry and
-// runs segTasks across lazily started goroutines.
+// scanGroup is XORPIR's persistent worker group. It resolves the
+// configured width against the store's page count and runs segTasks across
+// lazily started goroutines.
 type scanGroup struct {
 	defaultN int // resolved GOMAXPROCS/size-aware default width
 	maxUnits int // hard cap: the most segments a scan of this store has
@@ -85,11 +63,10 @@ type scanGroup struct {
 	started atomic.Int32
 }
 
-// newScanGroup builds a group for a store with maxUnits segmentable units
-// (pages for the arena stores, byte columns for KOPIR) and the given
-// default width; the effective width starts at the default. The returned
-// group must be bound to its owning store with bindCleanup so the parked
-// workers exit when the store is collected.
+// newScanGroup builds a group for a store with maxUnits segmentable pages
+// and the given default width; the effective width starts at the default.
+// The returned group must be bound to its owning store with bindCleanup so
+// the parked workers exit when the store is collected.
 func newScanGroup(defaultN, maxUnits int) *scanGroup {
 	g := &scanGroup{
 		defaultN: clampWorkers(defaultN, maxUnits),
@@ -130,7 +107,7 @@ func clampWorkers(n, maxUnits int) int {
 	return n
 }
 
-// SetScanWorkers implements ParallelScan.
+// SetScanWorkers implements ShareServer.
 func (g *scanGroup) SetScanWorkers(n int) int {
 	if n <= 0 {
 		n = g.defaultN
@@ -140,10 +117,10 @@ func (g *scanGroup) SetScanWorkers(n int) int {
 	return eff
 }
 
-// ScanWorkers implements ParallelScan.
+// ScanWorkers returns the effective worker-group width (1 = serial).
 func (g *scanGroup) ScanWorkers() int { return int(g.workers.Load()) }
 
-// SetScanObserver implements ParallelScan.
+// SetScanObserver implements ShareServer.
 func (g *scanGroup) SetScanObserver(fn func(time.Duration)) {
 	if fn == nil {
 		g.observer.Store(nil)

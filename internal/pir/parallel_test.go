@@ -72,7 +72,7 @@ func TestXORPIRParallelMatchesPages(t *testing.T) {
 				t.Fatalf("%dx%d: SetScanWorkers(%d) = %d, outside [1,%d]",
 					shape.n, shape.ps, nw, eff, shape.n)
 			}
-			got, err := x.ReadBatch(context.Background(), batch)
+			got, err := readBatch(context.Background(), x, batch)
 			if err != nil {
 				t.Fatalf("%dx%d nw=%d: %v", shape.n, shape.ps, nw, err)
 			}
@@ -82,7 +82,7 @@ func TestXORPIRParallelMatchesPages(t *testing.T) {
 				}
 			}
 			// k=1 through the same width.
-			one, err := x.Read(shape.n / 2)
+			one, err := readPage(x, shape.n/2)
 			if err != nil || !bytes.Equal(one, pages[shape.n/2]) {
 				t.Fatalf("%dx%d nw=%d: single read wrong: %v", shape.n, shape.ps, nw, err)
 			}
@@ -90,9 +90,10 @@ func TestXORPIRParallelMatchesPages(t *testing.T) {
 	}
 }
 
-// TestKOPIRParallelMatchesPages: the byte-column-partitioned KOPIR rounds
-// must decode the exact pages for every width (columns clamp the fan-out for
-// 1-byte pages).
+// TestKOPIRParallelMatchesPages: KOPIR answers a batch in one serial pass
+// of bit rounds on the calling goroutine. The batch must decode the exact
+// pages from one byte column up, duplicate rows included, and count one
+// database-equivalent scan per batch.
 func TestKOPIRParallelMatchesPages(t *testing.T) {
 	for _, shape := range []struct{ n, ps int }{{5, 3}, {3, 1}, {4, 8}} {
 		pages := makePages(shape.n, shape.ps, int64(17*shape.n+shape.ps))
@@ -101,38 +102,38 @@ func TestKOPIRParallelMatchesPages(t *testing.T) {
 			t.Fatal(err)
 		}
 		batch := []int{shape.n - 1, 0, 0}
-		for _, nw := range []int{1, 2, 4} {
-			eff := k.SetScanWorkers(nw)
-			if eff > shape.ps {
-				t.Fatalf("%dx%d: width %d exceeds %d byte columns", shape.n, shape.ps, eff, shape.ps)
+		got, err := readBatch(context.Background(), k, batch)
+		if err != nil {
+			t.Fatalf("%dx%d: %v", shape.n, shape.ps, err)
+		}
+		for i, p := range batch {
+			if !bytes.Equal(got[i], pages[p]) {
+				t.Fatalf("%dx%d: answer %d (page %d) = %x, want %x",
+					shape.n, shape.ps, i, p, got[i], pages[p])
 			}
-			got, err := k.ReadBatch(context.Background(), batch)
-			if err != nil {
-				t.Fatalf("%dx%d nw=%d: %v", shape.n, shape.ps, nw, err)
-			}
-			for i, p := range batch {
-				if !bytes.Equal(got[i], pages[p]) {
-					t.Fatalf("%dx%d nw=%d: answer %d (page %d) = %x, want %x",
-						shape.n, shape.ps, nw, i, p, got[i], pages[p])
-				}
-			}
+		}
+		if scanned, scans := k.ScanStats(); scans != 1 || scanned != uint64(shape.n) {
+			t.Fatalf("%dx%d: ScanStats = (%d, %d), want (%d, 1)", shape.n, shape.ps, scanned, scans, shape.n)
 		}
 	}
 }
 
 // TestKOPIRParallelHonorsContext: a cancelled context surfaces as the
-// context error even when segments are in flight across workers.
+// context error at the first bit-round boundary, before any server pass is
+// accounted.
 func TestKOPIRParallelHonorsContext(t *testing.T) {
 	pages := makePages(4, 4, 3)
 	k, err := NewKOPIR(src(pages, 4), 128)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k.SetScanWorkers(2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if err := k.ReadBatchInto(ctx, []int{1}, [][]byte{make([]byte, 4)}); err != context.Canceled {
-		t.Fatalf("cancelled parallel KOPIR batch returned %v, want context.Canceled", err)
+		t.Fatalf("cancelled KOPIR batch returned %v, want context.Canceled", err)
+	}
+	if scanned, scans := k.ScanStats(); scanned != 0 || scans != 0 {
+		t.Fatalf("cancelled batch accounted ScanStats (%d, %d), want none", scanned, scans)
 	}
 }
 
@@ -189,7 +190,7 @@ func TestScanObserverDeterministicCount(t *testing.T) {
 			mu.Lock()
 			count = 0
 			mu.Unlock()
-			if _, err := x.ReadBatch(context.Background(), batch); err != nil {
+			if _, err := readBatch(context.Background(), x, batch); err != nil {
 				t.Fatal(err)
 			}
 			mu.Lock()
@@ -205,12 +206,12 @@ func TestScanObserverDeterministicCount(t *testing.T) {
 	mu.Lock()
 	count = 0
 	mu.Unlock()
-	if _, err := x.Read(0); err != nil {
+	if _, err := readPage(x, 0); err != nil {
 		t.Fatal(err)
 	}
 	x.SetScanWorkers(2)
 	x.SetScanObserver(nil)
-	if _, err := x.Read(0); err != nil {
+	if _, err := readPage(x, 0); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()

@@ -2,6 +2,8 @@ package pir
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -12,6 +14,28 @@ import (
 // src wraps raw pages as the Reader the store constructors take.
 func src(pages [][]byte, pageSize int) pagefile.Reader {
 	return pagefile.SlicePages("F", pageSize, pages)
+}
+
+// readBatch reads pages through the one store contract into fresh
+// buffers: the tests' only batch-read helper.
+func readBatch(ctx context.Context, s Store, pages []int) ([][]byte, error) {
+	out := make([][]byte, len(pages))
+	for i := range out {
+		out[i] = make([]byte, s.PageSize())
+	}
+	if err := s.ReadBatchInto(ctx, pages, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// readPage reads one page as a one-page batch.
+func readPage(s Store, page int) ([]byte, error) {
+	out, err := readBatch(context.Background(), s, []int{page})
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
 }
 
 func makePages(n, size int, seed int64) [][]byte {
@@ -30,14 +54,14 @@ func TestPlainStore(t *testing.T) {
 	if s.NumPages() != 5 || s.PageSize() != 64 {
 		t.Fatalf("meta: %d pages size %d", s.NumPages(), s.PageSize())
 	}
-	got, err := s.Read(3)
+	got, err := readPage(s, 3)
 	if err != nil || !bytes.Equal(got, pages[3]) {
 		t.Fatalf("Read(3) = %v, %v", got, err)
 	}
-	if _, err := s.Read(5); err == nil {
+	if _, err := readPage(s, 5); err == nil {
 		t.Error("out-of-range read accepted")
 	}
-	if _, err := s.Read(-1); err == nil {
+	if _, err := readPage(s, -1); err == nil {
 		t.Error("negative read accepted")
 	}
 }
@@ -180,7 +204,7 @@ func TestXORPIRCorrectnessProperty(t *testing.T) {
 			return false
 		}
 		idx := rng.Intn(n)
-		got, err := x.Read(idx)
+		got, err := readPage(x, idx)
 		return err == nil && bytes.Equal(got, pages[idx])
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -195,7 +219,7 @@ func TestXORPIRServerViewsDifferOnlyAtTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 	for target := 0; target < 32; target += 5 {
-		if _, err := x.Read(target); err != nil {
+		if _, err := readPage(x, target); err != nil {
 			t.Fatal(err)
 		}
 		selA, selB := x.LastQueries()
@@ -228,7 +252,7 @@ func TestXORPIRSingleServerViewIsUniform(t *testing.T) {
 	const trials = 400
 	counts := make([]int, 64)
 	for i := 0; i < trials; i++ {
-		if _, err := x.Read(13); err != nil {
+		if _, err := readPage(x, 13); err != nil {
 			t.Fatal(err)
 		}
 		selA, _ := x.LastQueries()
@@ -253,7 +277,7 @@ func TestKOPIRCorrectness(t *testing.T) {
 		t.Fatal(err)
 	}
 	for idx := 0; idx < 6; idx++ {
-		got, err := k.Read(idx)
+		got, err := readPage(k, idx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,32 +298,64 @@ func TestKOPIRRejectsBadInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := k.Read(2); err == nil {
+	if _, err := readPage(k, 2); err == nil {
 		t.Error("out-of-range read accepted")
 	}
 }
 
+// TestStoreInterfaceCompliance checks the one store contract on every
+// constructor: ReadBatchInto answers byte-equal to the plaintext in request
+// order (duplicates included), rejects a buffer count that differs from the
+// page count and out-of-range pages, returns context.Canceled on a dead
+// context, and accounts its work in ScanStats.
 func TestStoreInterfaceCompliance(t *testing.T) {
-	pages := makePages(4, 16, 12)
-	var stores []Store
-	stores = append(stores, NewPlain(src(pages, 16)))
-	o, err := NewSqrtORAM(src(pages, 16), 3)
-	if err != nil {
-		t.Fatal(err)
+	const n, ps = 5, 4
+	pages := makePages(n, ps, 12)
+	ctors := []struct {
+		name string
+		new  func(pagefile.Reader) (Store, error)
+	}{
+		{"plain", func(r pagefile.Reader) (Store, error) { return NewPlain(r), nil }},
+		{"sqrt-oram", func(r pagefile.Reader) (Store, error) { return NewSqrtORAM(r, 3) }},
+		{"pyramid-oram", func(r pagefile.Reader) (Store, error) { return NewPyramidORAM(r) }},
+		{"sharded-oram", func(r pagefile.Reader) (Store, error) { return NewShardedORAM(r, 2, 3) }},
+		{"xorpir", func(r pagefile.Reader) (Store, error) { return NewXORPIR(r) }},
+		{"kopir", func(r pagefile.Reader) (Store, error) { return NewKOPIR(r, 128) }},
 	}
-	stores = append(stores, o)
-	x, err := NewXORPIR(src(pages, 16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	stores = append(stores, x)
-	for _, s := range stores {
-		if s.NumPages() != 4 || s.PageSize() != 16 {
-			t.Errorf("%T: wrong meta", s)
+	ctx := context.Background()
+	dead, cancel := context.WithCancel(ctx)
+	cancel()
+	for _, c := range ctors {
+		s, err := c.new(src(pages, ps))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
 		}
-		got, err := s.Read(2)
-		if err != nil || !bytes.Equal(got, pages[2]) {
-			t.Errorf("%T: Read(2) failed: %v", s, err)
+		if s.NumPages() != n || s.PageSize() != ps {
+			t.Errorf("%s: meta %d pages of %d bytes, want %d of %d", c.name, s.NumPages(), s.PageSize(), n, ps)
+		}
+		batch := []int{2, 0, n - 1, 2}
+		got, err := readBatch(ctx, s, batch)
+		if err != nil {
+			t.Fatalf("%s: ReadBatchInto: %v", c.name, err)
+		}
+		for i, p := range batch {
+			if !bytes.Equal(got[i], pages[p]) {
+				t.Errorf("%s: slot %d (page %d) = %x, want %x", c.name, i, p, got[i], pages[p])
+			}
+		}
+		if err := s.ReadBatchInto(ctx, batch, got[:len(batch)-1]); err == nil {
+			t.Errorf("%s: %d buffers for %d pages accepted", c.name, len(batch)-1, len(batch))
+		}
+		for _, bad := range []int{-1, n} {
+			if _, err := readBatch(ctx, s, []int{0, bad}); err == nil {
+				t.Errorf("%s: page %d accepted", c.name, bad)
+			}
+		}
+		if _, err := readBatch(dead, s, []int{1}); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: dead context: err = %v, want context.Canceled", c.name, err)
+		}
+		if pagesScanned, scans := s.ScanStats(); pagesScanned == 0 || scans == 0 {
+			t.Errorf("%s: ScanStats = (%d, %d) after a batch, want both > 0", c.name, pagesScanned, scans)
 		}
 	}
 }

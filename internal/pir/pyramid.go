@@ -1,6 +1,7 @@
 package pir
 
 import (
+	"context"
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/hmac"
@@ -47,6 +48,8 @@ type PyramidORAM struct {
 	StashPeak   int
 	bucketCap   int
 	totalLevels int
+
+	scanCounters
 }
 
 // pyLevel is one pyramid level: server-held encrypted buckets plus the
@@ -111,7 +114,7 @@ func NewPyramidORAM(src pagefile.Reader) (*PyramidORAM, error) {
 	return o, nil
 }
 
-// Read implements Store.
+// Read is the per-page primitive: one oblivious access.
 func (o *PyramidORAM) Read(page int) ([]byte, error) {
 	if page < 0 || page >= o.numPages {
 		return nil, fmt.Errorf("pir: page %d of %d", page, o.numPages)
@@ -145,6 +148,8 @@ func (o *PyramidORAM) Read(page int) ([]byte, error) {
 	if content == nil {
 		return nil, fmt.Errorf("pir: page %d lost (pyramid invariant broken)", page)
 	}
+	// One bucket of every level, whatever was read.
+	o.recordScan(uint64(o.totalLevels*o.bucketCap), 1)
 
 	// Rewrite the freshest copy into the top level (shadowing lower
 	// copies), then run the merge cascade.
@@ -199,6 +204,8 @@ func (o *PyramidORAM) cascade() error {
 // drainLevel decrypts all real items of a level (the reshuffle's read pass;
 // the server sees a full sequential scan, which is data-independent).
 func (o *PyramidORAM) drainLevel(l int) (map[int][]byte, error) {
+	// Which levels drain is a function of the read count alone.
+	o.recordScan(uint64(len(o.levels[l].buckets)*o.bucketCap), 1)
 	out := map[int][]byte{}
 	for b := range o.levels[l].buckets {
 		items, err := o.openBucket(l, b)
@@ -319,6 +326,14 @@ func (o *PyramidORAM) openBucket(l, b int) (map[int][]byte, error) {
 	}
 	return out, nil
 }
+
+// ReadBatchInto implements Store: one Read per page, in request order.
+func (o *PyramidORAM) ReadBatchInto(ctx context.Context, pages []int, dst [][]byte) error {
+	return readEach(ctx, pages, dst, o.Read)
+}
+
+// Caps implements Store: one stateful structure admits one read at a time.
+func (o *PyramidORAM) Caps() Caps { return Caps{} }
 
 // NumPages implements Store.
 func (o *PyramidORAM) NumPages() int { return o.numPages }

@@ -136,10 +136,10 @@ func TestPyramidStoreInterface(t *testing.T) {
 	if s.NumPages() != 8 || s.PageSize() != 16 {
 		t.Error("meta wrong")
 	}
-	if _, err := s.Read(-1); err == nil {
+	if _, err := readPage(s, -1); err == nil {
 		t.Error("negative read accepted")
 	}
-	if _, err := s.Read(8); err == nil {
+	if _, err := readPage(s, 8); err == nil {
 		t.Error("out-of-range read accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package pir
 
 import (
+	"context"
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/hmac"
@@ -52,8 +53,8 @@ type SqrtORAM struct {
 	// are built once and reused, zero is the shared all-zero page (whose
 	// CTR "encryption" is the raw keystream, letting dummy and shelter
 	// re-encryptions skip the plaintext XOR entirely), and macBuf backs
-	// the MAC sums. A SqrtORAM serializes all reads (it is a Store, not a
-	// BatchStore), so the shared states are never raced.
+	// the MAC sums. A SqrtORAM's reads are serialized (its Caps are not
+	// Concurrent), so the shared states are never raced.
 	block  cipher.Block
 	mac    hash.Hash
 	macBuf []byte
@@ -155,7 +156,7 @@ func (o *SqrtORAM) shuffle(plain [][]byte) error {
 	return nil
 }
 
-// Read implements Store.
+// Read is the per-page primitive: one oblivious access.
 func (o *SqrtORAM) Read(page int) ([]byte, error) {
 	if page < 0 || page >= o.numPages {
 		return nil, fmt.Errorf("pir: page %d of %d", page, o.numPages)
@@ -239,6 +240,14 @@ func (o *SqrtORAM) reshuffleFromState() error {
 	o.recordScan(uint64(o.numPages), 1)
 	return o.shuffle(plain)
 }
+
+// ReadBatchInto implements Store: one Read per page, in request order.
+func (o *SqrtORAM) ReadBatchInto(ctx context.Context, pages []int, dst [][]byte) error {
+	return readEach(ctx, pages, dst, o.Read)
+}
+
+// Caps implements Store: one stateful structure admits one read at a time.
+func (o *SqrtORAM) Caps() Caps { return Caps{} }
 
 // NumPages implements Store.
 func (o *SqrtORAM) NumPages() int { return o.numPages }

@@ -19,7 +19,7 @@ import (
 // computationally bounded adversaries learn anything.
 //
 // Both replicas answer from a contiguous word arena (see kernel.go) with
-// the word-wide XOR kernel, and a multi-page ReadBatch answers all k
+// the word-wide XOR kernel, and a multi-page batch answers all k
 // selectors in a single scan per server — k accumulators walking the file
 // once — instead of k independent scans. Each batched query still samples
 // its own fresh selector vector, so the servers' views stay uniform and
@@ -132,35 +132,12 @@ func sliceWordRows(dst [][]uint64, flat []uint64, n int) [][]uint64 {
 	return dst
 }
 
-// Read implements Store.
-func (x *XORPIR) Read(page int) ([]byte, error) {
-	out, err := x.ReadBatch(context.Background(), []int{page})
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
-}
-
-// ReadBatch implements BatchStore: every batched read samples its own fresh
+// ReadBatchInto implements Store: every batched read samples its own fresh
 // query vectors against the immutable replicas (so the servers' views stay
 // independent and uniform), and the whole batch is answered with one scan
-// of each replica — k accumulators per scan rather than k scans.
-func (x *XORPIR) ReadBatch(ctx context.Context, pages []int) ([][]byte, error) {
-	out := make([][]byte, len(pages))
-	flat := make([]byte, len(pages)*x.pageSize)
-	for i := range out {
-		out[i] = flat[i*x.pageSize : (i+1)*x.pageSize]
-	}
-	if err := x.ReadBatchInto(ctx, pages, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ReadBatchInto implements BatchInto: like ReadBatch, writing the page
-// contents into caller-provided buffers. With pooled scratch inside the
-// store, a steady-state batch allocates nothing beyond what the
-// cryptographic randomness source needs.
+// of each replica — k accumulators per scan rather than k scans. With
+// pooled scratch inside the store, a steady-state batch allocates nothing
+// beyond what the cryptographic randomness source needs.
 func (x *XORPIR) ReadBatchInto(ctx context.Context, pages []int, dst [][]byte) error {
 	if len(dst) != len(pages) {
 		return fmt.Errorf("pir: %d buffers for %d pages", len(dst), len(pages))
@@ -269,7 +246,7 @@ func (x *XORPIR) LastQueries() (a, b []byte) {
 }
 
 // LastBatchQueries returns copies of the per-query selector vectors the two
-// servers saw in the most recent ReadBatch, in request order. Test
+// servers saw in the most recent batch, in request order. Test
 // observability, like LastQueryA/B.
 func (x *XORPIR) LastBatchQueries() (a, b [][]byte) {
 	x.lastMu.Lock()
@@ -283,13 +260,13 @@ func (x *XORPIR) LastBatchQueries() (a, b [][]byte) {
 	return a, b
 }
 
-// SelectorBytes implements ShareAnswerer: one bit per page, whole bytes.
+// SelectorBytes implements ShareServer: one bit per page, whole bytes.
 func (x *XORPIR) SelectorBytes() int { return x.selBytes() }
 
-// AnswerShares implements ShareAnswerer: one scan with k accumulators
+// AnswerShares implements ShareServer: one scan with k accumulators
 // answers all k client-supplied selectors. This is the replica half of
 // fleet mode — the store never sees the companion share, never
-// reconstructs a page, and performs half the work of ReadBatch (which
+// reconstructs a page, and performs half the work of ReadBatchInto (which
 // scans once per logical server). Bits beyond numPages select nothing:
 // the kernel walks only the numPages real rows.
 func (x *XORPIR) AnswerShares(ctx context.Context, sels [][]byte, dst [][]byte) error {
@@ -360,9 +337,10 @@ func (x *XORPIR) ShareLog() [][]byte {
 	return out
 }
 
-// SingleScanBatch implements SingleScan: a batch costs one scan regardless
-// of size, so the serving layer must not split it.
-func (x *XORPIR) SingleScanBatch() bool { return true }
+// Caps implements Store: reads share only immutable replicas (plus
+// mutex-guarded test observability), and a batch costs one scan per replica
+// regardless of size, so the serving layer must not split it.
+func (x *XORPIR) Caps() Caps { return Caps{Concurrent: true, SingleScan: true} }
 
 // NumPages implements Store.
 func (x *XORPIR) NumPages() int { return x.numPages }

@@ -53,8 +53,8 @@ type Options struct {
 	// ScanBatchCap bounds the pages one merged scan answers; 0 means
 	// lbs.DefaultScanBatchCap.
 	ScanBatchCap int
-	// ScanWorkers is the per-scan worker width for parallel-capable stores
-	// (pir.ParallelScan): each file pass fans out across this many workers
+	// ScanWorkers is the per-scan worker width for stores with a parallel
+	// scan (pir.ShareServer, i.e. XOR PIR): each file pass fans out across this many workers
 	// and occupies as many pool slots, so one merged scan uses the machine
 	// instead of oversubscribing cores across concurrent scans. Clamped to
 	// Workers per database; 1 forces the serial kernel; 0 means each
@@ -70,7 +70,7 @@ type Options struct {
 	// plain Fetch frames are rejected and only FetchShare is served, so the
 	// process never holds both XOR PIR shares of any query and could not
 	// reconstruct a page even if compromised. Requires share-capable stores
-	// (pir.ShareAnswerer, e.g. XOR PIR) on every hosted file.
+	// (pir.ShareServer, i.e. XOR PIR) on every hosted file.
 	ReplicaRole bool
 	// Logf receives serving events; nil disables logging.
 	Logf func(format string, args ...any)

@@ -65,6 +65,10 @@ func TestAdmissionControlSheds(t *testing.T) {
 	if got := srv.m.shed.Value(); got != 1 {
 		t.Errorf("shed counter = %d, want 1", got)
 	}
+	// The daemon counts a Busy frame only once its write returned, which
+	// can be after the client has already read it: wait for the count,
+	// then require exactly one.
+	waitFor(t, "busy-sent counter", func() bool { return srv.m.busySent.Value() >= 1 })
 	if got := srv.m.busySent.Value(); got != 1 {
 		t.Errorf("busy-sent counter = %d, want 1", got)
 	}
