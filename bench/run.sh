@@ -1,6 +1,6 @@
 #!/bin/sh
 # Runs the oblivious-read benchmarks — the XOR scan kernels, the segmented
-# parallel scan sweep (worker width x batch size on a 64 MiB arena), the
+# parallel scan sweep (worker width x batch size on a 64 MiB file), the
 # single-scan multi-query XORPIR path, the single-read stores, and the
 # end-to-end worker-pool BatchRead — plus a short serving-path load
 # (bench/serveload: real daemon, real wire protocol, loopback), and

@@ -15,7 +15,7 @@ import (
 // batches used to form only inside one client's round. The scan scheduler
 // closes that gap across connections: selector-vector fetches arriving from
 // ANY connection are accumulated into one shared pending batch per file and
-// answered with a single ReadBatchInto pass over the arena, turning cost per
+// answered with a single ReadBatchInto pass over the file, turning cost per
 // query into cost per scan under concurrent traffic.
 //
 // Flush policy, in order of precedence:

@@ -8,7 +8,11 @@ import "fmt"
 // raw page slice) all satisfy it, so in-memory and disk-backed databases
 // serve through identical code. Implementations must be safe for concurrent
 // Page calls once serving starts, and callers must not mutate returned
-// pages.
+// pages. A returned page must also stay unchanged for as long as a caller
+// holds it: an implementation may not reuse or overwrite the slice it
+// returned. XOR PIR keeps the slices as its scan rows for the life of the
+// store (every Reader here returns either its own immutable page or a
+// fresh read).
 type Reader interface {
 	// Name returns the file name (e.g. "Fd", "Fi").
 	Name() string
@@ -16,7 +20,8 @@ type Reader interface {
 	PageSize() int
 	// NumPages returns the file length in pages.
 	NumPages() int
-	// Page returns page i. The caller must not mutate the result.
+	// Page returns page i. The caller must not mutate the result, and the
+	// implementation must not change it afterwards.
 	Page(i int) ([]byte, error)
 }
 

@@ -8,14 +8,14 @@ import (
 )
 
 // BenchmarkXORAnswer compares the two XOR scan kernels answering one
-// selector over the same file: the byte-at-a-time [][]byte baseline versus
-// the word-wide contiguous-arena kernel. pages/s counts pages *scanned* per
-// second — the server-side figure of merit, since a PIR answer touches the
-// whole file by construction.
+// selector over the same file: the byte-at-a-time baseline versus the
+// store's kernel, which folds the same page rows with crypto/subtle.XORBytes.
+// pages/s counts pages *scanned* per second — the server-side figure of
+// merit, since a PIR answer touches the whole file by construction.
 func BenchmarkXORAnswer(b *testing.B) {
 	const n, ps = 2048, 1024
 	pages := makePages(n, ps, 7)
-	arena, err := newWordArena(src(pages, ps))
+	rows, err := loadRows(src(pages, ps))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -30,15 +30,15 @@ func BenchmarkXORAnswer(b *testing.B) {
 		}
 		b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "pages/s")
 	})
-	b.Run("words", func(b *testing.B) {
-		sels, accs := [][]byte{sel}, [][]uint64{make([]uint64, arena.wpp)}
+	b.Run("rows", func(b *testing.B) {
+		sels, accs := [][]byte{sel}, [][]byte{make([]byte, ps)}
 		var bt bucketTable
 		b.SetBytes(n * ps)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			clearWords(accs[0])
-			arena.answerAll(sels, accs, &bt)
+			clear(accs[0])
+			answerAll(rows, sels, accs, &bt)
 		}
 		b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "pages/s")
 	})
@@ -113,7 +113,7 @@ func benchSingleScan(b *testing.B, x *XORPIR, batch []int, ps int) {
 }
 
 // BenchmarkScanParallel sweeps the segmented parallel kernel across worker
-// widths and batch sizes on a 64 MiB arena — far beyond any last-level
+// widths and batch sizes on a 64 MiB file — far beyond any last-level
 // cache, so each worker streams its own segment of DRAM and the sweep
 // measures how far the machine's memory bandwidth exceeds one core's.
 // workers=1 is the serial kernel (the exact pre-parallel code path); pages/s
@@ -123,21 +123,20 @@ func benchSingleScan(b *testing.B, x *XORPIR, batch []int, ps int) {
 func BenchmarkScanParallel(b *testing.B) {
 	const n, ps = 65536, 1024 // 64 MiB
 	pages := makePages(n, ps, 11)
-	arena, err := newWordArena(src(pages, ps))
+	rows, err := loadRows(src(pages, ps))
 	if err != nil {
 		b.Fatal(err)
 	}
-	g := newScanGroup(8, arena.numPages)
-	pool := &freeList[arenaTask]{}
+	g := newScanGroup(8, n)
 	var bt bucketTable
 	rng := rand.New(rand.NewSource(12))
 	for _, k := range []int{1, 8} {
 		sels := make([][]byte, k)
-		accs := make([][]uint64, k)
+		accs := make([][]byte, k)
 		for i := range sels {
 			sels[i] = make([]byte, (n+7)/8)
 			rng.Read(sels[i])
-			accs[i] = make([]uint64, arena.wpp)
+			accs[i] = make([]byte, ps)
 		}
 		for _, w := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("k=%d/workers=%d", k, w), func(b *testing.B) {
@@ -146,12 +145,12 @@ func BenchmarkScanParallel(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					for _, acc := range accs {
-						clearWords(acc)
+						clear(acc)
 					}
 					if w == 1 {
-						arena.answerAll(sels, accs, &bt)
+						answerAll(rows, sels, accs, &bt)
 					} else {
-						g.answerAllParallel(pool, arena, sels, accs, &bt, w)
+						g.answerAllParallel(rows, sels, accs, &bt, w)
 					}
 				}
 				b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "pages/s")

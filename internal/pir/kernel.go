@@ -1,143 +1,68 @@
 package pir
 
 import (
-	"encoding/binary"
+	"crypto/subtle"
 	"fmt"
 	"math/bits"
 
 	"repro/internal/pagefile"
 )
 
-// This file is the word-wide XOR kernel shared by the linear-scan PIR
-// stores and the ORAM re-encryption paths. A PIR answer touches the whole
-// file by construction (§2.2), so the server's scan throughput is the
-// system's throughput; everything here exists to make that scan cheap:
+// This file is the XOR kernel of the linear-scan PIR store. A PIR answer
+// touches the whole file by construction (§2.2), so the server's scan
+// throughput is the system's throughput, and the server holds the whole
+// file in memory (§3.1); everything here exists to make that scan cheap
+// without holding the file twice:
 //
-//   - wordArena flattens a page file into one contiguous []uint64, so a
-//     scan walks a single allocation in address order (no per-page pointer
-//     chase) and XORs eight bytes per operation instead of one.
+//   - loadRows takes the page file's own pages as the kernel's rows: the
+//     slices src.Page returns, not copies, so a resident file
+//     (*pagefile.File, PageSlice) is folded in place and costs the store no
+//     memory beyond the file itself. Only a page shorter than the page size
+//     is copied, zero-padded. A source that reads on demand (DiskFile)
+//     returns a fresh slice per page, and keeping those costs what a copy
+//     would.
+//   - Every XOR is crypto/subtle.XORBytes, the standard library's
+//     vectorized XOR (assembly on amd64 and arm64), one whole row per call.
 //   - answerAll answers k independent selector vectors in ONE pass over
-//     the arena — the matrix-batching idea of Chor et al. — so a k-page
+//     the file — the matrix-batching idea of Chor et al. — so a k-page
 //     round costs one file scan, not k. Within the pass the XOR work is
 //     shared too: a batch answer is the GF(2) product of the selector
 //     matrix and the file, so selectors are folded in groups of up to 8
 //     and each page is XORed once into the bucket of its membership
 //     pattern, not once per query that selects it.
-//   - xorBytes is the byte-slice face of the word-wide XOR, used by the
-//     sqrt-ORAM re-encryption path to fold plaintext into a materialized
-//     keystream (see SqrtORAM.encryptInto, which together with in-place
-//     slot reuse makes the per-read shelter rewrite allocation-free).
 //
-// On PI's Fi file (11,321 pages of 4 KiB) one k=8 pass takes about 9.5 ms
-// on one core of a 2-CPU Intel Xeon VM, against about 31 ms for the
-// per-query fold it replaced (BenchmarkXORPIRBatchRead/single-scan/fi/k=8
-// at -cpu 1 runs both replica passes: about 19 ms against 62 ms).
+// On PI's Fi file (11,321 pages of 4 KiB) a k=8 batch, both replica
+// passes, takes about 21.5 ms on one core of a 2-CPU Intel Xeon VM
+// (BenchmarkXORPIRBatchRead/single-scan/fi/k=8 at -cpu 1, median of 5
+// runs).
 
-// wordArena is a page file flattened into uint64 lanes: page i occupies
-// words [i*wpp, (i+1)*wpp). Pages whose byte size is not a multiple of 8
-// are zero-padded into their final word, which is XOR-neutral, so answers
-// over padded rows decode back to exact page bytes.
-type wordArena struct {
-	words    []uint64
-	wpp      int // words per page
-	numPages int
-	pageSize int
-}
-
-// newWordArena flattens the pages of src.
-func newWordArena(src pagefile.Reader) (*wordArena, error) {
+// loadRows returns the pages of src as kernel rows of exactly PageSize
+// bytes. A full-sized row is the slice src.Page returned — the Reader
+// contract keeps it unchanged while a store holds it — and a short page is
+// copied and zero-padded, which is XOR-neutral, so answers over padded rows
+// decode to exact page bytes.
+func loadRows(src pagefile.Reader) ([][]byte, error) {
 	n, ps := src.NumPages(), src.PageSize()
 	if n == 0 {
 		return nil, fmt.Errorf("pir: empty file")
 	}
-	wpp := (ps + 7) / 8
-	a := &wordArena{
-		words:    make([]uint64, n*wpp),
-		wpp:      wpp,
-		numPages: n,
-		pageSize: ps,
-	}
-	for i := 0; i < n; i++ {
+	rows := make([][]byte, n)
+	for i := range rows {
 		p, err := src.Page(i)
 		if err != nil {
 			return nil, err
 		}
-		if len(p) > ps {
+		switch {
+		case len(p) > ps:
 			return nil, fmt.Errorf("pir: page %d is %d bytes, page size %d", i, len(p), ps)
+		case len(p) < ps:
+			row := make([]byte, ps)
+			copy(row, p)
+			p = row
 		}
-		packWords(a.row(i), p)
+		rows[i] = p
 	}
-	return a, nil
-}
-
-// row returns page i's word lane.
-func (a *wordArena) row(i int) []uint64 {
-	return a.words[i*a.wpp : (i+1)*a.wpp]
-}
-
-// writePage decodes page i's words back into dst[:pageSize].
-func (a *wordArena) writePage(i int, dst []byte) {
-	unpackWords(dst[:a.pageSize], a.row(i))
-}
-
-// packWords encodes little-endian bytes into words, zero-padding the tail.
-func packWords(dst []uint64, src []byte) {
-	i, w := 0, 0
-	for ; i+8 <= len(src); i, w = i+8, w+1 {
-		dst[w] = binary.LittleEndian.Uint64(src[i:])
-	}
-	if i < len(src) {
-		var tail [8]byte
-		copy(tail[:], src[i:])
-		dst[w] = binary.LittleEndian.Uint64(tail[:])
-		w++
-	}
-	for ; w < len(dst); w++ {
-		dst[w] = 0
-	}
-}
-
-// unpackWords decodes words back to little-endian bytes, dropping the pad.
-func unpackWords(dst []byte, src []uint64) {
-	i, w := 0, 0
-	for ; i+8 <= len(dst); i, w = i+8, w+1 {
-		binary.LittleEndian.PutUint64(dst[i:], src[w])
-	}
-	if i < len(dst) {
-		var tail [8]byte
-		binary.LittleEndian.PutUint64(tail[:], src[w])
-		copy(dst[i:], tail[:len(dst)-i])
-	}
-}
-
-// xorWords folds src into acc lane-wise. Both slices must have equal
-// length; the explicit reslice lets the compiler elide bounds checks in
-// the loop.
-func xorWords(acc, src []uint64) {
-	if len(acc) != len(src) {
-		panic("pir: xorWords length mismatch")
-	}
-	src = src[:len(acc)]
-	for i := range acc {
-		acc[i] ^= src[i]
-	}
-}
-
-// xorBytes folds src into dst word-wide, handling the unaligned tail
-// byte-wise. It is the byte-slice face of the kernel, for paths (reply
-// combination, ORAM scratch) that work on raw page buffers.
-func xorBytes(dst, src []byte) {
-	if len(dst) != len(src) {
-		panic("pir: xorBytes length mismatch")
-	}
-	n := len(src) &^ 7
-	for i := 0; i < n; i += 8 {
-		binary.LittleEndian.PutUint64(dst[i:],
-			binary.LittleEndian.Uint64(dst[i:])^binary.LittleEndian.Uint64(src[i:]))
-	}
-	for i := n; i < len(src); i++ {
-		dst[i] ^= src[i]
-	}
+	return rows, nil
 }
 
 // maxGroup is the widest selector group the bucketed kernel folds at once:
@@ -149,26 +74,26 @@ const maxGroup = 8
 // need no row of their own — the bucket for "selector j only" is
 // accumulator j itself. A table belongs to one scan at a time: a store
 // keeps one in each xorScratch, for the serial scan or a parallel scan's
-// first segment, and one per further segment in each arenaTask.
+// first segment, and one per further segment in each scanTask.
 type bucketTable struct {
-	buf  []uint64   // flat backing of the multi-bit pattern rows
-	rows [][]uint64 // rows[grp<<g|pattern]: that pattern's bucket (nil for 0)
+	buf  []byte   // flat backing of the multi-bit pattern rows
+	rows [][]byte // rows[grp<<g|pattern]: that pattern's bucket (nil for 0)
 }
 
 // layout points the table's rows at this scan's accumulators and at zeroed
 // multi-bit pattern rows, growing buf to exactly what k selectors in groups
-// of g need.
-func (bt *bucketTable) layout(accs [][]uint64, g, wpp int) {
+// of g over rows of ps bytes need.
+func (bt *bucketTable) layout(accs [][]byte, g, ps int) {
 	k, stride := len(accs), 1<<g
 	need := tableRows(k, g)
-	if cap(bt.buf) < need*wpp {
-		bt.buf = make([]uint64, need*wpp)
+	if cap(bt.buf) < need*ps {
+		bt.buf = make([]byte, need*ps)
 	}
-	bt.buf = bt.buf[:need*wpp]
-	clearWords(bt.buf)
+	bt.buf = bt.buf[:need*ps]
+	clear(bt.buf)
 	ngroups := (k + g - 1) / g
 	if cap(bt.rows) < ngroups*stride {
-		bt.rows = make([][]uint64, ngroups*stride)
+		bt.rows = make([][]byte, ngroups*stride)
 	}
 	bt.rows = bt.rows[:ngroups*stride]
 	off := 0
@@ -177,8 +102,8 @@ func (bt *bucketTable) layout(accs [][]uint64, g, wpp int) {
 			if m&(m-1) == 0 {
 				bt.rows[base+m] = accs[j0+bits.TrailingZeros(uint(m))]
 			} else {
-				bt.rows[base+m] = bt.buf[off : off+wpp]
-				off += wpp
+				bt.rows[base+m] = bt.buf[off : off+ps]
+				off += ps
 			}
 		}
 	}
@@ -204,7 +129,7 @@ func groupCost(g, n int) int {
 // groupWidth picks the selector group width for k selectors over an n-page
 // range: the g minimizing the page-XOR count, among the widths whose table
 // has no more rows than the range has pages (so it is never larger than the
-// stretch of arena it folds). It is a function of public shape only (k and
+// stretch of file it folds). It is a function of public shape only (k and
 // n), never of selector contents, so every scan of a given shape does the
 // same work. g = 1 is the direct fold: one accumulator XOR per (page,
 // selecting query) pair and no table.
@@ -221,18 +146,17 @@ func groupWidth(k, n int) int {
 	return best
 }
 
-// answerAll answers k selector vectors in ONE pass over the arena (see
-// answerAllRange). accs[j] must be len wpp and zeroed by the caller; bt is
-// the caller's bucket table.
-func (a *wordArena) answerAll(sels [][]byte, accs [][]uint64, bt *bucketTable) {
-	a.answerAllRange(sels, accs, 0, a.numPages, bt)
+// answerAll answers k selector vectors in ONE pass over rows (see
+// answerAllRange). accs[j] must be one row long and zeroed by the caller;
+// bt is the caller's bucket table.
+func answerAll(rows, sels, accs [][]byte, bt *bucketTable) {
+	answerAllRange(rows, sels, accs, 0, len(rows), bt)
 }
 
-// answerAllRange XORs into accs[j] the pages in [start, end) that sels[j]
+// answerAllRange XORs into accs[j] the rows in [start, end) that sels[j]
 // selects — the unit of work both the serial scan and one parallel-scan
-// segment fold (see parallel.go). Page rows are contiguous and at least a
-// cache line apart at any realistic page size, so concurrent ranges never
-// share a written line.
+// segment fold (see parallel.go). Concurrent ranges only read the shared
+// rows; every write goes to the range's own accumulators and table.
 //
 // Selectors are folded in groups of g (groupWidth). Each page is loaded
 // once; per group, its g selector bits form a membership pattern, and the
@@ -241,47 +165,45 @@ func (a *wordArena) answerAll(sels [][]byte, accs [][]uint64, bt *bucketTable) {
 // j takes the XOR of the upper half of the patterns (those with bit j set),
 // the upper half folds into the lower half, and the pass recurses on it. A
 // k=8 batch thus costs about one page-XOR per page instead of four.
-func (a *wordArena) answerAllRange(sels [][]byte, accs [][]uint64, start, end int, bt *bucketTable) {
+func answerAllRange(rows, sels, accs [][]byte, start, end int, bt *bucketTable) {
 	k := len(sels)
 	if k == 0 || start >= end {
 		return
 	}
 	g := groupWidth(k, end-start)
-	bt.layout(accs, g, a.wpp)
+	bt.layout(accs, g, len(accs[0]))
 	stride := 1 << g
 	for p := start; p < end; p++ {
 		byteIdx, shift := p>>3, uint(p&7)
-		var row []uint64
+		row := rows[p]
 		for j0, base := 0, 0; j0 < k; j0, base = j0+g, base+stride {
 			pat := 0
 			for i, sel := range sels[j0:min(j0+g, k)] {
 				pat |= int(sel[byteIdx]>>shift&1) << i
 			}
 			if pat != 0 {
-				if row == nil {
-					row = a.row(p)
-				}
-				xorWords(bt.rows[base+pat], row)
+				bucket := bt.rows[base+pat]
+				subtle.XORBytes(bucket, bucket, row)
 			}
 		}
 	}
 	for j0, base := 0, 0; j0 < k; j0, base = j0+g, base+stride {
-		rows := bt.rows[base : base+1<<min(g, k-j0)]
-		// For h = 2^i, rows[h] is accumulator j0+i, and the rest of
+		pats := bt.rows[base : base+1<<min(g, k-j0)]
+		// For h = 2^i, pats[h] is accumulator j0+i, and the rest of
 		// [h, 2h) is the upper half this step folds.
-		for h := len(rows) / 2; h > 1; h /= 2 {
+		for h := len(pats) / 2; h > 1; h /= 2 {
 			for m := 1; m < h; m++ {
-				xorWords(rows[h], rows[h+m])
-				xorWords(rows[m], rows[h+m])
+				subtle.XORBytes(pats[h], pats[h], pats[h+m])
+				subtle.XORBytes(pats[m], pats[m], pats[h+m])
 			}
 		}
 	}
 }
 
 // xorAnswerBytes is the byte-at-a-time reference kernel over [][]byte
-// pages — the pre-arena implementation, kept as the correctness oracle for
-// the equivalence tests and the baseline BenchmarkXORAnswer compares the
-// word kernel against.
+// pages — the pre-vectorized implementation, kept as the correctness oracle
+// for the equivalence tests and the baseline BenchmarkXORAnswer compares
+// the kernel against.
 func xorAnswerBytes(pages [][]byte, pageSize int, sel []byte) []byte {
 	out := make([]byte, pageSize)
 	for i, page := range pages {

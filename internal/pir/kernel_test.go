@@ -2,15 +2,19 @@ package pir
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
+
+	"repro/internal/pagefile"
 )
 
-// oddShapes are the page-file geometries most likely to break a word-wide
+// oddShapes are the page-file geometries most likely to break a vectorized
 // kernel: page counts that are not a multiple of 8 (partial selector byte),
-// page sizes that are not a multiple of 8 (partial trailing word), and the
-// degenerate single-page file.
+// page sizes that are not a multiple of 8 (a partial trailing word for the
+// vector loop), and the degenerate single-page file.
 var oddShapes = []struct{ n, ps int }{
 	{1, 1},
 	{1, 8},
@@ -20,39 +24,6 @@ var oddShapes = []struct{ n, ps int }{
 	{8, 24},
 	{17, 100},
 	{64, 31},
-}
-
-func TestPackUnpackRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for size := 1; size <= 40; size++ {
-		src := make([]byte, size)
-		rng.Read(src)
-		words := make([]uint64, (size+7)/8)
-		packWords(words, src)
-		got := make([]byte, size)
-		unpackWords(got, words)
-		if !bytes.Equal(got, src) {
-			t.Fatalf("size %d: roundtrip mismatch", size)
-		}
-	}
-}
-
-func TestXORBytesMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for size := 1; size <= 40; size++ {
-		a := make([]byte, size)
-		b := make([]byte, size)
-		rng.Read(a)
-		rng.Read(b)
-		want := make([]byte, size)
-		for i := range want {
-			want[i] = a[i] ^ b[i]
-		}
-		xorBytes(a, b)
-		if !bytes.Equal(a, want) {
-			t.Fatalf("size %d: xorBytes mismatch", size)
-		}
-	}
 }
 
 // kernelShapes are oddShapes plus one file long enough that a k=8 batch
@@ -91,65 +62,64 @@ func rangeAnswer(pages [][]byte, ps int, sel []byte, start, end int) []byte {
 
 // checkAccs fails t unless every accumulator decodes to the oracle answer of
 // its selector over [start, end).
-func checkAccs(t *testing.T, what string, pages [][]byte, ps int, sels [][]byte, accs [][]uint64, start, end int) {
+func checkAccs(t *testing.T, what string, pages [][]byte, ps int, sels, accs [][]byte, start, end int) {
 	t.Helper()
-	got := make([]byte, ps)
 	for j, sel := range sels {
-		unpackWords(got, accs[j])
-		if want := rangeAnswer(pages, ps, sel, start, end); !bytes.Equal(got, want) {
+		if want := rangeAnswer(pages, ps, sel, start, end); !bytes.Equal(accs[j], want) {
 			t.Fatalf("%s: selector %d of %d over pages [%d,%d) differs from the byte kernel",
 				what, j, len(sels), start, end)
 		}
 	}
 }
 
-// checkTableSize fails t if the bucket table's rows hold more words than
-// the arena range the last scan folded.
-func checkTableSize(t *testing.T, what string, bt *bucketTable, rangeWords int) {
+// checkTableSize fails t if the bucket table's rows hold more bytes than
+// the range of the file the last scan folded.
+func checkTableSize(t *testing.T, what string, bt *bucketTable, rangeBytes int) {
 	t.Helper()
-	if len(bt.buf) > rangeWords {
-		t.Fatalf("%s: bucket table of %d words for a %d-word range", what, len(bt.buf), rangeWords)
+	if len(bt.buf) > rangeBytes {
+		t.Fatalf("%s: bucket table of %d bytes for a %d-byte range", what, len(bt.buf), rangeBytes)
 	}
 }
 
-// newAccs returns k zeroed accumulators of wpp words.
-func newAccs(k, wpp int) [][]uint64 {
-	accs := make([][]uint64, k)
+// newAccs returns k zeroed accumulators of ps bytes.
+func newAccs(k, ps int) [][]byte {
+	accs := make([][]byte, k)
 	for j := range accs {
-		accs[j] = make([]uint64, wpp)
+		accs[j] = make([]byte, ps)
 	}
 	return accs
 }
 
-// TestWordKernelMatchesByteKernel checks the pattern-bucketed arena kernel
-// against the byte-at-a-time reference implementation across odd shapes and
+// TestWordKernelMatchesByteKernel checks the pattern-bucketed kernel over
+// the file's own page rows against the byte-at-a-time reference
+// implementation across odd shapes and
 // batch sizes, over whole files and over ranges that start mid selector
 // byte. One bucket table serves every call, as a store's scratch does, and
-// after each call it must hold no more words than the range it folded.
+// after each call it must hold no more bytes than the range it folded.
 func TestWordKernelMatchesByteKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var bt bucketTable
 	for _, shape := range kernelShapes {
 		pages := makePages(shape.n, shape.ps, int64(shape.n*1000+shape.ps))
-		arena, err := newWordArena(src(pages, shape.ps))
+		rows, err := loadRows(src(pages, shape.ps))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, k := range kernelKs {
 			sels := randomSelectors(rng, k, shape.n)
-			accs := newAccs(k, arena.wpp)
-			arena.answerAll(sels, accs, &bt)
+			accs := newAccs(k, shape.ps)
+			answerAll(rows, sels, accs, &bt)
 			what := fmt.Sprintf("%dx%d k=%d", shape.n, shape.ps, k)
 			checkAccs(t, what, pages, shape.ps, sels, accs, 0, shape.n)
-			checkTableSize(t, what, &bt, shape.n*arena.wpp)
+			checkTableSize(t, what, &bt, shape.n*shape.ps)
 			for _, r := range [][2]int{{1, shape.n}, {3, shape.n - 2}, {shape.n/3 | 5, shape.n}} {
 				if r[0] >= r[1] {
 					continue
 				}
-				accs := newAccs(k, arena.wpp)
-				arena.answerAllRange(sels, accs, r[0], r[1], &bt)
+				accs := newAccs(k, shape.ps)
+				answerAllRange(rows, sels, accs, r[0], r[1], &bt)
 				checkAccs(t, what, pages, shape.ps, sels, accs, r[0], r[1])
-				checkTableSize(t, what, &bt, (r[1]-r[0])*arena.wpp)
+				checkTableSize(t, what, &bt, (r[1]-r[0])*shape.ps)
 			}
 		}
 	}
@@ -203,37 +173,119 @@ func FuzzBucketKernel(f *testing.F) {
 			t.Skip()
 		}
 		pages := makePages(int(n), int(ps), seed)
-		arena, err := newWordArena(src(pages, int(ps)))
+		rows, err := loadRows(src(pages, int(ps)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		sels := randomSelectors(rand.New(rand.NewSource(seed)), int(k), int(n))
 		var bt bucketTable
-		accs := newAccs(int(k), arena.wpp)
-		arena.answerAll(sels, accs, &bt)
+		accs := newAccs(int(k), int(ps))
+		answerAll(rows, sels, accs, &bt)
 		checkAccs(t, "whole file", pages, int(ps), sels, accs, 0, int(n))
 		lo, hi := int(start)%int(n), int(end)%(int(n)+1)
 		if lo < hi {
-			accs := newAccs(int(k), arena.wpp)
-			arena.answerAllRange(sels, accs, lo, hi, &bt)
+			accs := newAccs(int(k), int(ps))
+			answerAllRange(rows, sels, accs, lo, hi, &bt)
 			checkAccs(t, "range", pages, int(ps), sels, accs, lo, hi)
 		}
 	})
 }
 
-func TestWordArenaPageRoundTrip(t *testing.T) {
-	for _, shape := range oddShapes {
-		pages := makePages(shape.n, shape.ps, int64(shape.n+shape.ps))
-		arena, err := newWordArena(src(pages, shape.ps))
+// TestKernelSharesResidentPages pins the kernel's no-copy guarantee and
+// its two fallbacks. Over a resident *pagefile.File, NewXORPIR folds the
+// file's own pages: it allocates a small fraction of the file, and each
+// row is the page the file returned. Short pages are copied zero-padded,
+// leaving the source's spare capacity untouched, and a disk-backed source
+// answers byte-exact from the pages its reads returned.
+func TestKernelSharesResidentPages(t *testing.T) {
+	t.Run("resident", func(t *testing.T) {
+		const n, ps = 1024, 4096 // 4 MiB
+		f := pagefile.NewFile("Fi", ps)
+		for _, p := range makePages(n, ps, 61) {
+			f.MustAppendPage(p)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		x, err := NewXORPIR(f)
+		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
 		}
-		buf := make([]byte, shape.ps)
-		for i := range pages {
-			arena.writePage(i, buf)
-			if !bytes.Equal(buf, pages[i]) {
-				t.Fatalf("%dx%d: page %d corrupted by arena roundtrip", shape.n, shape.ps, i)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= n*ps/16 {
+			t.Fatalf("NewXORPIR allocated %d bytes over a %d-byte resident file, want < %d",
+				alloc, n*ps, n*ps/16)
+		}
+		for i, row := range x.rows {
+			if p, _ := f.Page(i); &row[0] != &p[0] {
+				t.Fatalf("row %d is a copy of the file's page", i)
 			}
 		}
-	}
+		got, err := readBatch(context.Background(), x, []int{0, 500, n - 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range []int{0, 500, n - 1} {
+			if want, _ := f.Page(p); !bytes.Equal(got[i], want) {
+				t.Fatalf("page %d wrong", p)
+			}
+		}
+	})
+	t.Run("short pages", func(t *testing.T) {
+		const ps = 13
+		backing := make([]byte, 2*ps)
+		for i := range backing {
+			backing[i] = 0xA5
+		}
+		var pages, padded [][]byte
+		for l := 0; l <= ps; l++ {
+			p := bytes.Repeat([]byte{byte(l + 1)}, l)
+			if l == 5 {
+				p = backing[: l : 2*ps] // spare capacity a careless pad would write into
+				copy(p, bytes.Repeat([]byte{6}, l))
+			}
+			pages = append(pages, p)
+			padded = append(padded, append(append([]byte(nil), p...), make([]byte, ps-l)...))
+		}
+		x, err := NewXORPIR(src(pages, ps))
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := make([]int, len(pages))
+		for i := range all {
+			all[i] = i
+		}
+		got, err := readBatch(context.Background(), x, all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range pages {
+			if !bytes.Equal(got[i], padded[i]) {
+				t.Fatalf("%d-byte page decoded to %x, want %x", len(pages[i]), got[i], padded[i])
+			}
+		}
+		for i, b := range backing[5:] {
+			if b != 0xA5 {
+				t.Fatalf("padding wrote byte %d of the source's spare capacity", 5+i)
+			}
+		}
+	})
+	t.Run("disk", func(t *testing.T) {
+		const n, ps = 300, 24
+		pages := makePages(n, ps, 62)
+		disk := pagefile.NewDiskFile("Fi", ps, n, bytes.NewReader(bytes.Join(pages, nil)), 0, 4)
+		x, err := NewXORPIR(disk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sels := randomSelectors(rand.New(rand.NewSource(63)), 9, n)
+		got := newAccs(len(sels), ps)
+		if err := x.AnswerShares(context.Background(), sels, got); err != nil {
+			t.Fatal(err)
+		}
+		for j, sel := range sels {
+			if want := xorAnswerBytes(pages, ps, sel); !bytes.Equal(got[j], want) {
+				t.Fatalf("share %d over the disk file differs from the byte kernel", j)
+			}
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package pir
 
 import (
+	"crypto/subtle"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -8,16 +9,16 @@ import (
 )
 
 // This file parallelizes the full-file scan every SPC answer performs. The
-// word-wide kernel of kernel.go already runs one scan at memory speed on one
-// core; on a multi-core server that leaves most of the machine's memory
+// vectorized kernel of kernel.go already runs one scan at memory speed on
+// one core; on a multi-core server that leaves most of the machine's memory
 // bandwidth idle while a scan is the unit of serving capacity. The scan is a
-// data-independent XOR fold over a contiguous arena, so it partitions
+// data-independent XOR fold over the file's page rows, so it partitions
 // cleanly:
 //
-//   - The arena is split into contiguous page-aligned segments, one per
-//     worker. Segment boundaries fall on page-row boundaries — at least a
-//     full page apart — so readers never contend, and every write goes to a
-//     worker-private accumulator block, never a shared cache line.
+//   - The file is split into contiguous page ranges, one per segment.
+//     Workers only read the shared rows, and every write goes to a
+//     segment-private accumulator block and bucket table, never a shared
+//     cache line.
 //   - Each worker folds its segment into its own k per-query partial
 //     accumulators (drawn from a pool), and a final XOR pass combines the
 //     partials. XOR is associative and commutative, so the parallel answer
@@ -31,15 +32,15 @@ import (
 //     kernel instead of deadlocking.
 //
 // Obliviousness is untouched: parallelism changes which core XORs which
-// words, never which pages a scan touches (all of them, §2.2) or how
+// bytes, never which pages a scan touches (all of them, §2.2) or how
 // selector randomness is drawn (per query, inside the store, exactly as in
 // the serial path).
 
-// minSegWords is the default sizing floor: a worker must have at least this
-// many arena words (512 KiB) to pay for its share of the fan-out handshake.
+// minSegBytes is the default sizing floor: a worker must have at least this
+// much of the file (512 KiB) to pay for its share of the fan-out handshake.
 // Stores below the floor scan serially; an explicit SetScanWorkers call
 // overrides the floor (the serving layer and the tests know better).
-const minSegWords = 1 << 16
+const minSegBytes = 512 << 10
 
 // segJobQueue is the task channel capacity. Sends are non-blocking — a full
 // queue just means the submitter claims more segments itself — so the
@@ -47,7 +48,7 @@ const minSegWords = 1 << 16
 const segJobQueue = 32
 
 // scanGroup is XORPIR's persistent worker group. It resolves the
-// configured width against the store's page count and runs segTasks across
+// configured width against the store's page count and runs scanTasks across
 // lazily started goroutines.
 type scanGroup struct {
 	defaultN int // resolved GOMAXPROCS/size-aware default width
@@ -56,11 +57,13 @@ type scanGroup struct {
 	workers  atomic.Int32
 	observer atomic.Pointer[func(time.Duration)]
 
-	jobs chan *segTask
+	jobs chan *scanTask
 	stop chan struct{}
 
 	mu      sync.Mutex
 	started atomic.Int32
+
+	pool freeList[scanTask]
 }
 
 // newScanGroup builds a group for a store with maxUnits segmentable pages
@@ -71,7 +74,7 @@ func newScanGroup(defaultN, maxUnits int) *scanGroup {
 	g := &scanGroup{
 		defaultN: clampWorkers(defaultN, maxUnits),
 		maxUnits: maxUnits,
-		jobs:     make(chan *segTask, segJobQueue),
+		jobs:     make(chan *scanTask, segJobQueue),
 		stop:     make(chan struct{}),
 	}
 	g.workers.Store(int32(g.defaultN))
@@ -86,14 +89,10 @@ func bindCleanup[T any](owner *T, g *scanGroup) {
 	runtime.AddCleanup(owner, func(stop chan struct{}) { close(stop) }, g.stop)
 }
 
-// defaultArenaWorkers sizes the default width for a word-arena store:
-// GOMAXPROCS, shrunk so every worker gets at least minSegWords of arena.
-func defaultArenaWorkers(totalWords int) int {
-	w := runtime.GOMAXPROCS(0)
-	if bySize := totalWords / minSegWords; bySize < w {
-		w = bySize
-	}
-	return w
+// defaultScanWorkers sizes the default width for a file of fileBytes:
+// GOMAXPROCS, shrunk so every worker gets at least minSegBytes of it.
+func defaultScanWorkers(fileBytes int) int {
+	return min(runtime.GOMAXPROCS(0), fileBytes/minSegBytes)
 }
 
 // clampWorkers bounds a width to [1, maxUnits].
@@ -129,18 +128,29 @@ func (g *scanGroup) SetScanObserver(fn func(time.Duration)) {
 	g.observer.Store(&fn)
 }
 
-// segTask is one scan's fan-out state, embedded in a store-specific task
-// struct. run is bound once (a method value on the enclosing task), so
-// dispatching a pooled task allocates nothing.
-type segTask struct {
-	run     func(seg int)
-	release func() // invoked by the last reference holder; may be nil
-
+// scanTask is one parallel answerAll: segment seg folds pages
+// [seg*chunk, (seg+1)*chunk) into its own accumulator block through its own
+// bucket table. Segment 0 works in the caller's accumulators and bucket
+// table directly; segments 1..nseg-1 write pooled partials through pooled
+// tables, and the submitter combines the partials afterwards.
+type scanTask struct {
 	nseg    int32
 	next    atomic.Int32
 	refs    atomic.Int32
 	wg      sync.WaitGroup
 	observe func(time.Duration)
+	pool    *freeList[scanTask]
+
+	rows  [][]byte
+	sels  [][]byte
+	accs  [][]byte
+	bt    *bucketTable
+	k     int
+	chunk int
+
+	partbuf []byte
+	parts   [][]byte
+	buckets []bucketTable // segments 1..nseg-1
 }
 
 // exec runs t's nseg segments across the group and the calling goroutine,
@@ -148,7 +158,7 @@ type segTask struct {
 // task's results after exec and must call t.deref() when done with them:
 // copies of the task may still sit in the job queue, and the backing
 // buffers are recycled only when the last reference drops.
-func (g *scanGroup) exec(t *segTask) {
+func (g *scanGroup) exec(t *scanTask) {
 	t.next.Store(0)
 	t.refs.Store(1)
 	t.wg.Add(int(t.nseg))
@@ -194,7 +204,7 @@ func (g *scanGroup) exec(t *segTask) {
 // claimLoop folds segments until none remain, timing each fold for the
 // observer. Claims are a single atomic add, so work balances across however
 // many participants actually showed up.
-func (t *segTask) claimLoop() {
+func (t *scanTask) claimLoop() {
 	for {
 		seg := t.next.Add(1) - 1
 		if seg >= t.nseg {
@@ -202,21 +212,42 @@ func (t *segTask) claimLoop() {
 		}
 		if t.observe != nil {
 			start := time.Now()
-			t.run(int(seg))
+			t.runSegment(int(seg))
 			t.observe(time.Since(start))
 		} else {
-			t.run(int(seg))
+			t.runSegment(int(seg))
 		}
 		t.wg.Done()
 	}
 }
 
-// deref drops one reference; the last holder releases the task back to its
-// store's pool.
-func (t *segTask) deref() {
-	if t.refs.Add(-1) == 0 && t.release != nil {
-		t.release()
+// runSegment folds one contiguous page range into the segment's
+// accumulator block.
+func (t *scanTask) runSegment(seg int) {
+	start := seg * t.chunk
+	end := min(start+t.chunk, len(t.rows))
+	accs, bt := t.accs, t.bt
+	if seg > 0 {
+		accs, bt = t.parts[(seg-1)*t.k:seg*t.k], &t.buckets[seg-1]
+		for _, acc := range accs {
+			clear(acc)
+		}
 	}
+	answerAllRange(t.rows, t.sels, accs, start, end, bt)
+}
+
+// deref drops one reference; the last holder drops the slice references
+// (the rows belong to the store, the selectors and accumulators to the
+// caller's scratch) and recycles the task. It runs only after every
+// segment claim has failed, so no goroutine can still be reading the
+// fields.
+func (t *scanTask) deref() {
+	if t.refs.Add(-1) != 0 {
+		return
+	}
+	t.rows, t.sels, t.accs, t.bt = nil, nil, nil, nil
+	t.parts = t.parts[:0]
+	t.pool.put(t)
 }
 
 // ensure lazily starts parked worker goroutines, up to n beyond those
@@ -246,27 +277,6 @@ func (g *scanGroup) worker() {
 			return
 		}
 	}
-}
-
-// arenaTask is a parallel answerAll over a word arena: segment seg folds
-// pages [seg*chunk, (seg+1)*chunk) into its own accumulator block through
-// its own bucket table. Segment 0 works in the caller's accumulators and
-// bucket table directly; segments 1..nw-1 write pooled partials through
-// pooled tables, and the submitter combines the partials afterwards.
-type arenaTask struct {
-	seg   segTask
-	pool  *freeList[arenaTask]
-	arena *wordArena
-	sels  [][]byte
-	accs  [][]uint64
-	bt    *bucketTable
-	k     int
-	nw    int
-	chunk int
-
-	partbuf []uint64
-	parts   [][]uint64
-	buckets []bucketTable // segments 1..nw-1
 }
 
 // freeList is a per-store stack of reusable scan working sets. Unlike a
@@ -301,77 +311,36 @@ func (f *freeList[T]) put(v *T) {
 	f.mu.Unlock()
 }
 
-// newArenaTask builds a task that returns to pool when released. The
-// run/release method values are bound once per task, so steady-state scans
-// allocate nothing.
-func newArenaTask(pool *freeList[arenaTask]) *arenaTask {
-	t := &arenaTask{pool: pool}
-	t.seg.run = t.runSegment
-	t.seg.release = t.releaseTask
-	return t
-}
-
-// runSegment folds one contiguous page range into the segment's
-// accumulator block.
-func (t *arenaTask) runSegment(seg int) {
-	start := seg * t.chunk
-	end := start + t.chunk
-	if end > t.arena.numPages {
-		end = t.arena.numPages
-	}
-	accs, bt := t.accs, t.bt
-	if seg > 0 {
-		accs, bt = t.parts[(seg-1)*t.k:seg*t.k], &t.buckets[seg-1]
-		for _, row := range accs {
-			clearWords(row)
-		}
-	}
-	t.arena.answerAllRange(t.sels, accs, start, end, bt)
-}
-
-// releaseTask drops the slice references (the selectors and accumulators
-// belong to the caller's scratch) and recycles the task. Only the last
-// reference holder runs this, after every segment claim has failed, so no
-// goroutine can still be reading the fields.
-func (t *arenaTask) releaseTask() {
-	t.arena, t.sels, t.accs, t.bt = nil, nil, nil, nil
-	t.parts = t.parts[:0]
-	t.pool.put(t)
-}
-
 // answerAllParallel answers k selectors with nw workers in one segmented
-// pass over the arena, leaving the combined answers in accs (caller-zeroed,
-// like answerAll; bt is the caller's bucket table, which segment 0 uses).
+// pass over rows, leaving the combined answers in accs (caller-zeroed, like
+// answerAll; bt is the caller's bucket table, which segment 0 uses).
 // Byte-identical to answerAll.
-func (g *scanGroup) answerAllParallel(pool *freeList[arenaTask], a *wordArena, sels [][]byte, accs [][]uint64, bt *bucketTable, nw int) {
-	t := pool.get()
+func (g *scanGroup) answerAllParallel(rows, sels, accs [][]byte, bt *bucketTable, nw int) {
+	t := g.pool.get()
 	if t == nil {
-		t = newArenaTask(pool)
+		t = &scanTask{pool: &g.pool}
 	}
-	k := len(sels)
-	t.arena, t.sels, t.accs, t.bt = a, sels, accs, bt
-	t.k, t.nw = k, nw
-	t.chunk = (a.numPages + nw - 1) / nw
-	if need := (nw - 1) * k * a.wpp; cap(t.partbuf) < need {
-		t.partbuf = make([]uint64, need)
+	k, ps := len(sels), len(accs[0])
+	t.rows, t.sels, t.accs, t.bt = rows, sels, accs, bt
+	t.k = k
+	t.chunk = (len(rows) + nw - 1) / nw
+	if need := (nw - 1) * k * ps; cap(t.partbuf) < need {
+		t.partbuf = make([]byte, need)
 	}
-	t.partbuf = t.partbuf[:(nw-1)*k*a.wpp]
-	t.parts = t.parts[:0]
-	for off := 0; off < len(t.partbuf); off += a.wpp {
-		t.parts = append(t.parts, t.partbuf[off:off+a.wpp])
-	}
+	t.partbuf = t.partbuf[:(nw-1)*k*ps]
+	t.parts = sliceRows(t.parts[:0], t.partbuf, ps)
 	for len(t.buckets) < nw-1 {
 		t.buckets = append(t.buckets, bucketTable{})
 	}
-	t.seg.nseg = int32(nw)
-	g.exec(&t.seg)
+	t.nseg = int32(nw)
+	g.exec(t)
 	// Combine: fold every worker's partials into the caller's
-	// accumulators. One pass over (nw-1)*k*wpp words — noise against the
-	// numPages*wpp words each scan walks.
+	// accumulators. One pass over (nw-1)*k rows — noise against the
+	// numPages rows each scan walks.
 	for w := 0; w < nw-1; w++ {
-		for j := 0; j < k; j++ {
-			xorWords(accs[j], t.parts[w*k+j])
+		for j, acc := range accs {
+			subtle.XORBytes(acc, acc, t.parts[w*k+j])
 		}
 	}
-	t.seg.deref()
+	t.deref()
 }

@@ -23,26 +23,25 @@ var workerFanOuts = []int{1, 2, 3, 4, 8}
 func TestAnswerAllParallelMatchesSerial(t *testing.T) {
 	for _, shape := range kernelShapes {
 		pages := makePages(shape.n, shape.ps, int64(13*shape.n+shape.ps))
-		arena, err := newWordArena(src(pages, shape.ps))
+		rows, err := loadRows(src(pages, shape.ps))
 		if err != nil {
 			t.Fatal(err)
 		}
 		group := newScanGroup(1, shape.n)
-		pool := &freeList[arenaTask]{}
 		rng := rand.New(rand.NewSource(int64(shape.n)))
 		var bt bucketTable
 		for _, k := range kernelKs {
 			sels := randomSelectors(rng, k, shape.n)
-			got := newAccs(k, arena.wpp)
+			got := newAccs(k, shape.ps)
 			for _, nw := range workerFanOuts {
 				eff := group.SetScanWorkers(nw)
 				for j := range got {
-					clearWords(got[j])
+					clear(got[j])
 				}
 				if eff > 1 {
-					group.answerAllParallel(pool, arena, sels, got, &bt, eff)
+					group.answerAllParallel(rows, sels, got, &bt, eff)
 				} else {
-					arena.answerAll(sels, got, &bt)
+					answerAll(rows, sels, got, &bt)
 				}
 				what := fmt.Sprintf("%dx%d k=%d nw=%d(eff %d)", shape.n, shape.ps, k, nw, eff)
 				checkAccs(t, what, pages, shape.ps, sels, got, 0, shape.n)
@@ -168,7 +167,7 @@ func TestXORPIRParallelZeroAllocs(t *testing.T) {
 
 // TestScanObserverDeterministicCount pins the telemetry leakage invariant at
 // the store level: a parallel batch produces exactly 2×ScanWorkers segment
-// observations (one arena pass per replica), a function of configuration
+// observations (one file pass per replica), a function of configuration
 // alone — never of batch size, targets, or page contents.
 func TestScanObserverDeterministicCount(t *testing.T) {
 	const n, ps = 64, 64
@@ -243,9 +242,9 @@ func TestSetScanWorkersClamps(t *testing.T) {
 	if def < 1 || def > 3 {
 		t.Fatalf("default width %d outside [1,3]", def)
 	}
-	// A tiny arena sizes its default to the serial kernel: 3 pages of 16
+	// A tiny file sizes its default to the serial kernel: 3 pages of 16
 	// bytes is far below the per-worker floor.
 	if def != 1 {
-		t.Fatalf("default width %d for a 48-byte arena, want 1 (below segment floor)", def)
+		t.Fatalf("default width %d for a 48-byte file, want 1 (below segment floor)", def)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
+	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
 	"hash"
@@ -49,7 +50,7 @@ type SqrtORAM struct {
 	rng   io.Reader
 	prng  *mrand.Rand // deterministic shuffles for reproducible tests
 
-	// Re-encryption fast path (see kernel.go): the cipher and MAC states
+	// Re-encryption fast path (see encryptInto): the cipher and MAC states
 	// are built once and reused, zero is the shared all-zero page (whose
 	// CTR "encryption" is the raw keystream, letting dummy and shelter
 	// re-encryptions skip the plaintext XOR entirely), and macBuf backs
@@ -274,7 +275,7 @@ func (o *SqrtORAM) encrypt(tag uint64, content []byte) ([]byte, error) {
 // rewrite — sqrt(N) slot re-encryptions on EVERY read — recycles the slot
 // buffers instead of allocating sqrt(N) pages per read. The keystream is
 // materialized by "encrypting" the shared zero page; content is then folded
-// in with the kernel's word-wide XOR, which the all-zero dummy and shelter
+// in with crypto/subtle.XORBytes, which the all-zero dummy and shelter
 // contents skip entirely.
 func (o *SqrtORAM) encryptInto(dst []byte, tag uint64, content []byte) ([]byte, error) {
 	if len(content) != o.pageSize {
@@ -291,7 +292,7 @@ func (o *SqrtORAM) encryptInto(dst []byte, tag uint64, content []byte) ([]byte, 
 	body := dst[:o.pageSize]
 	cipher.NewCTR(o.block, iv[:]).XORKeyStream(body, o.zero)
 	if len(content) > 0 && &content[0] != &o.zero[0] {
-		xorBytes(body, content)
+		subtle.XORBytes(body, body, content)
 	}
 	o.mac.Reset()
 	o.mac.Write(iv[:])

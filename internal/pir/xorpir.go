@@ -3,6 +3,7 @@ package pir
 import (
 	"context"
 	"crypto/rand"
+	"crypto/subtle"
 	"fmt"
 	"io"
 	"sync"
@@ -18,14 +19,14 @@ import (
 // random subset, revealing nothing about the target — not even
 // computationally bounded adversaries learn anything.
 //
-// Both replicas answer from a contiguous word arena (see kernel.go) with
-// the word-wide XOR kernel, and a multi-page batch answers all k
-// selectors in a single scan per server — k accumulators walking the file
-// once — instead of k independent scans. Each batched query still samples
-// its own fresh selector vector, so the servers' views stay uniform and
-// mutually independent whether pages arrive one at a time or batched.
+// Both logical replicas answer from the page file's own pages (see
+// kernel.go), and a multi-page batch answers all k selectors in a single
+// scan per server — k accumulators walking the file once — instead of k
+// independent scans. Each batched query still samples its own fresh
+// selector vector, so the servers' views stay uniform and mutually
+// independent whether pages arrive one at a time or batched.
 type XORPIR struct {
-	a, b     *xorServer
+	rows     [][]byte // page i's bytes, exactly pageSize long (loadRows)
 	numPages int
 	pageSize int
 	rng      io.Reader
@@ -34,7 +35,6 @@ type XORPIR struct {
 	// Parallel scan machinery (see parallel.go): a persistent worker group
 	// fans each replica scan across page segments when ScanWorkers() > 1.
 	*scanGroup
-	taskPool freeList[arenaTask]
 
 	// lastMu guards the recorded-query buffers: reads are otherwise
 	// stateless and run concurrently under a batch fan-out. The buffers
@@ -54,13 +54,7 @@ type XORPIR struct {
 	scanCounters
 }
 
-// xorServer is one non-colluding replica holding the full plaintext file
-// flattened into word lanes.
-type xorServer struct {
-	arena *wordArena
-}
-
-// xorScratch is the per-batch working set: selector vectors and word
+// xorScratch is the per-batch working set: selector vectors and
 // accumulators for both servers, backed by two flat allocations, and the
 // bucket table of the serial kernel (or of a parallel scan's first
 // segment); the two replica passes run one after the other, so they share
@@ -68,26 +62,27 @@ type xorServer struct {
 type xorScratch struct {
 	selbuf       []byte
 	selsA, selsB [][]byte
-	accbuf       []uint64
-	accsA, accsB [][]uint64
+	accbuf       []byte
+	accsA, accsB [][]byte
 	buckets      bucketTable
 }
 
-// NewXORPIR replicates the pages of src onto two logical servers (the
-// answer to any query XORs an arbitrary page subset, so both replicas hold
-// the full plaintext in memory).
+// NewXORPIR serves the pages of src as two logical servers (the answer to
+// any query XORs an arbitrary page subset, so each replica needs the full
+// plaintext in memory). Both replicas fold the one set of rows loadRows
+// takes from src, so a resident page file is held once, not copied.
 func NewXORPIR(src pagefile.Reader) (*XORPIR, error) {
-	arena, err := newWordArena(src)
+	rows, err := loadRows(src)
 	if err != nil {
 		return nil, err
 	}
+	n, ps := len(rows), src.PageSize()
 	x := &XORPIR{
-		a:         &xorServer{arena: arena},
-		b:         &xorServer{arena: arena},
-		numPages:  arena.numPages,
-		pageSize:  arena.pageSize,
+		rows:      rows,
+		numPages:  n,
+		pageSize:  ps,
 		rng:       rand.Reader,
-		scanGroup: newScanGroup(defaultArenaWorkers(len(arena.words)), arena.numPages),
+		scanGroup: newScanGroup(defaultScanWorkers(n*ps), n),
 	}
 	bindCleanup(x, x.scanGroup)
 	return x, nil
@@ -102,30 +97,22 @@ func (x *XORPIR) getScratch(k int) *xorScratch {
 	if sc == nil {
 		sc = &xorScratch{}
 	}
-	nbytes, wpp := x.selBytes(), x.a.arena.wpp
+	nbytes, ps := x.selBytes(), x.pageSize
 	if cap(sc.selbuf) < 2*k*nbytes {
 		sc.selbuf = make([]byte, 2*k*nbytes)
 	}
 	sc.selbuf = sc.selbuf[:2*k*nbytes]
-	if cap(sc.accbuf) < 2*k*wpp {
-		sc.accbuf = make([]uint64, 2*k*wpp)
+	if cap(sc.accbuf) < 2*k*ps {
+		sc.accbuf = make([]byte, 2*k*ps)
 	}
-	sc.accbuf = sc.accbuf[:2*k*wpp]
+	sc.accbuf = sc.accbuf[:2*k*ps]
 	sc.selsA, sc.selsB = sliceRows(sc.selsA[:0], sc.selbuf[:k*nbytes], nbytes), sliceRows(sc.selsB[:0], sc.selbuf[k*nbytes:], nbytes)
-	sc.accsA, sc.accsB = sliceWordRows(sc.accsA[:0], sc.accbuf[:k*wpp], wpp), sliceWordRows(sc.accsB[:0], sc.accbuf[k*wpp:], wpp)
+	sc.accsA, sc.accsB = sliceRows(sc.accsA[:0], sc.accbuf[:k*ps], ps), sliceRows(sc.accsB[:0], sc.accbuf[k*ps:], ps)
 	return sc
 }
 
 // sliceRows cuts flat into rows of n bytes, reusing dst's backing array.
 func sliceRows(dst [][]byte, flat []byte, n int) [][]byte {
-	for off := 0; off < len(flat); off += n {
-		dst = append(dst, flat[off:off+n])
-	}
-	return dst
-}
-
-// sliceWordRows cuts flat into rows of n words, reusing dst's backing array.
-func sliceWordRows(dst [][]uint64, flat []uint64, n int) [][]uint64 {
 	for off := 0; off < len(flat); off += n {
 		dst = append(dst, flat[off:off+n])
 	}
@@ -181,37 +168,29 @@ func (x *XORPIR) ReadBatchInto(ctx context.Context, pages []int, dst [][]byte) e
 	// With scan workers configured, each replica pass fans out across the
 	// worker group — same pass count, same pages touched, answers
 	// byte-identical to the serial kernel (XOR is associative).
-	clearWords(sc.accbuf)
+	clear(sc.accbuf)
 	nw := x.ScanWorkers()
-	x.scan(x.a.arena, sc.selsA, sc.accsA, &sc.buckets, nw)
+	x.scan(sc.selsA, sc.accsA, &sc.buckets, nw)
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	x.scan(x.b.arena, sc.selsB, sc.accsB, &sc.buckets, nw)
+	x.scan(sc.selsB, sc.accsB, &sc.buckets, nw)
 	// Two full-file passes (one per replica) answered the whole batch,
 	// whatever its size — the quantity the amortization ratio tracks.
 	x.recordScan(2*uint64(x.numPages), 2)
 	for j := range pages {
-		acc := sc.accsA[j]
-		xorWords(acc, sc.accsB[j])
-		unpackWords(dst[j][:x.pageSize], acc)
+		subtle.XORBytes(dst[j][:x.pageSize], sc.accsA[j], sc.accsB[j])
 	}
 	return nil
 }
 
-// scan is one full pass over arena answering sels into the caller-zeroed
+// scan is one full pass over the rows answering sels into the caller-zeroed
 // accs: the serial kernel, or a segmented fan-out when nw > 1.
-func (x *XORPIR) scan(arena *wordArena, sels [][]byte, accs [][]uint64, bt *bucketTable, nw int) {
+func (x *XORPIR) scan(sels, accs [][]byte, bt *bucketTable, nw int) {
 	if nw > 1 {
-		x.answerAllParallel(&x.taskPool, arena, sels, accs, bt, nw)
+		x.answerAllParallel(x.rows, sels, accs, bt, nw)
 	} else {
-		arena.answerAll(sels, accs, bt)
-	}
-}
-
-func clearWords(w []uint64) {
-	for i := range w {
-		w[i] = 0
+		answerAll(x.rows, sels, accs, bt)
 	}
 }
 
@@ -289,13 +268,13 @@ func (x *XORPIR) AnswerShares(ctx context.Context, sels [][]byte, dst [][]byte) 
 	sc := x.getScratch(k)
 	defer x.scratch.put(sc)
 	accs := sc.accsA
-	clearWords(sc.accbuf[:k*x.a.arena.wpp])
-	x.scan(x.a.arena, sels, accs, &sc.buckets, x.ScanWorkers())
+	clear(sc.accbuf[:k*x.pageSize])
+	x.scan(sels, accs, &sc.buckets, x.ScanWorkers())
 	// One full-file pass, whatever the batch size.
 	x.recordScan(uint64(x.numPages), 1)
 	x.logShares(sels)
 	for j := range sels {
-		unpackWords(dst[j][:x.pageSize], accs[j])
+		copy(dst[j][:x.pageSize], accs[j])
 	}
 	return nil
 }
@@ -337,7 +316,7 @@ func (x *XORPIR) ShareLog() [][]byte {
 	return out
 }
 
-// Caps implements Store: reads share only immutable replicas (plus
+// Caps implements Store: reads share only the immutable rows (plus
 // mutex-guarded test observability), and a batch costs one scan per replica
 // regardless of size, so the serving layer must not split it.
 func (x *XORPIR) Caps() Caps { return Caps{Concurrent: true, SingleScan: true} }
